@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from cisched import codec
 from cisched.config import (
     MissingFileError,
     TypeMismatchError,
@@ -32,8 +33,6 @@ from cisched.reporting import (
     campaign_summary,
     export_plot_data,
     load_report,
-    report_to_dict,
-    summary_to_dict,
     utilization,
 )
 from cisched.scheduling import InfeasibleError, build_instance, schedule_greedy
@@ -300,7 +299,7 @@ def _cmd_simulate(args) -> int:
         nodes_per_ms=cfg.solver.nodes_per_ms,
     )
     reports = run_simulation(sim_config, tests, agents, history)
-    _emit(summary_to_dict(campaign_summary(reports)))
+    _emit(codec.encode(campaign_summary(reports)))
     return 0
 
 
@@ -326,15 +325,10 @@ def _cmd_report(args) -> int:
         written.extend(str(p) for p in export_plot_data(reports, plans, out))
     else:
         reports_path = out / "reports.json"
-        reports_path.write_text(
-            json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        codec.dump([codec.encode(r) for r in reports], reports_path)
         written.append(str(reports_path))
     summary_path = out / "campaign_summary.json"
-    summary_path.write_text(
-        json.dumps(summary_to_dict(summary), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    codec.save(summary, summary_path)
     written.append(str(summary_path))
     _emit({"written": written, "cycles": summary.cycles})
     return 0
@@ -349,15 +343,7 @@ def _cmd_generate_workload(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_repository(tests, agents, out / "repository.json")
-    model_payload = {
-        "default_probability": model.default_probability,
-        "duration_jitter": list(model.duration_jitter),
-        "seed": model.seed,
-        "defect_probabilities": dict(model.defect_probabilities),
-    }
-    (out / "outcome_model.json").write_text(
-        json.dumps(model_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    codec.save(model, out / "outcome_model.json")
     _emit({"tests": len(tests), "agents": len(agents), "out": str(out)})
     return 0
 

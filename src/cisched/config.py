@@ -8,6 +8,7 @@ from typing import Any, Mapping
 
 import yaml
 
+from cisched import codec
 from cisched.priority import PriorityWeights
 from cisched.simulator import SchedulerKind
 from cisched.workload import WorkloadSpec
@@ -133,39 +134,21 @@ def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = 
 def _set(merged: dict, section: str, key: str, value: Any) -> None:
     if key not in DEFAULTS[section]:
         raise UnknownKeyError(f"unknown config key: {section}.{key}")
-    merged[section][key] = _coerce(f"{section}.{key}", DEFAULTS[section][key], value)
+    merged[section][key] = value
 
 
-def _coerce(name: str, default: Any, value: Any) -> Any:
-    # bool is checked before int: True is an int in Python but not in a
-    # config file's eyes.
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise TypeMismatchError(f"{name} must be a boolean, got {value!r}")
-        return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeMismatchError(f"{name} must be an integer, got {value!r}")
-        return value
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeMismatchError(f"{name} must be a number, got {value!r}")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise TypeMismatchError(f"{name} must be a string, got {value!r}")
-        return value
-    if default is None:
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise TypeMismatchError(f"{name} must be an integer or null, got {value!r}")
-        return value
-    raise TypeMismatchError(f"{name}: unsupported default type {type(default).__name__}")
+def _section(merged: dict, section: str, cls: type) -> Any:
+    """Type-check one merged section against its settings dataclass."""
+    try:
+        return codec.decode_fields(cls, merged[section])
+    except codec.DecodeError as exc:
+        raise TypeMismatchError(f"{section}.{exc}") from None
 
 
 def _build(merged: dict) -> RunConfig:
-    weights = PriorityWeights(**merged["priority"])
+    weights = _section(merged, "priority", PriorityWeights)
     weights.validate()
-    solver = SolverSettings(**merged["solver"])
+    solver = _section(merged, "solver", SolverSettings)
     if solver.time_budget_ms < 1:
         raise TypeMismatchError("solver.time_budget_ms must be >= 1")
     if solver.staleness_cap < 1:
@@ -174,15 +157,8 @@ def _build(merged: dict) -> RunConfig:
         raise TypeMismatchError(
             f"solver.backend must be auto, numba, or python, got {solver.backend!r}"
         )
-    sim_raw = dict(merged["simulation"])
-    try:
-        sim_raw["scheduler"] = SchedulerKind(sim_raw["scheduler"])
-    except ValueError:
-        raise TypeMismatchError(
-            f"simulation.scheduler must be greedy or optimal, got {sim_raw['scheduler']!r}"
-        ) from None
-    simulation = SimulationSettings(**sim_raw)
+    simulation = _section(merged, "simulation", SimulationSettings)
     if simulation.cycles < 1:
         raise TypeMismatchError("simulation.cycles must be >= 1")
-    workload = WorkloadSpec(**merged["workload"])
+    workload = _section(merged, "workload", WorkloadSpec)
     return RunConfig(priority=weights, solver=solver, simulation=simulation, workload=workload)

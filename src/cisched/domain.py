@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
+
+from cisched import codec
 
 
 class Outcome(str, Enum):
@@ -227,112 +229,39 @@ class HistoryStore:
         return dict(self._pair_last)
 
 
-def repository_to_dict(tests: Sequence[TestCase], agents: Sequence[TestAgent]) -> dict:
-    return {
-        "tests": [
-            {
-                "id": t.id,
-                "avg_duration": t.avg_duration,
-                "static_priority": t.static_priority,
-                "compatible_agents": sorted(t.compatible_agents),
-                "obligatory": t.obligatory,
-                "active": t.active,
-            }
-            for t in tests
-        ],
-        "agents": [
-            {
-                "id": a.id,
-                "budget": a.budget,
-                "capabilities": sorted(a.capabilities),
-                "active": a.active,
-            }
-            for a in agents
-        ],
-    }
+@dataclass(frozen=True)
+class Repository:
+    """The persisted form of a repository file."""
+
+    tests: tuple[TestCase, ...] = ()
+    agents: tuple[TestAgent, ...] = ()
 
 
-_TEST_FIELDS = {"id", "avg_duration", "static_priority", "compatible_agents", "obligatory", "active"}
-_AGENT_FIELDS = {"id", "budget", "capabilities", "active"}
+@dataclass(frozen=True)
+class _CycleMarker:
+    """History line closing a completed cycle."""
 
-
-def repository_from_dict(doc: Mapping) -> tuple[list[TestCase], list[TestAgent]]:
-    """Parse a repository document; unknown fields are rejected."""
-    unknown_top = set(doc) - {"tests", "agents"}
-    if unknown_top:
-        raise ValueError(f"unknown repository keys: {sorted(unknown_top)}")
-    tests = []
-    for entry in doc.get("tests", []):
-        unknown = set(entry) - _TEST_FIELDS
-        if unknown:
-            raise ValueError(f"unknown test fields: {sorted(unknown)}")
-        tests.append(
-            TestCase(
-                id=str(entry["id"]),
-                avg_duration=float(entry["avg_duration"]),
-                static_priority=float(entry["static_priority"]),
-                compatible_agents=frozenset(str(x) for x in entry["compatible_agents"]),
-                obligatory=bool(entry.get("obligatory", False)),
-                active=bool(entry.get("active", True)),
-            )
-        )
-    agents = []
-    for entry in doc.get("agents", []):
-        unknown = set(entry) - _AGENT_FIELDS
-        if unknown:
-            raise ValueError(f"unknown agent fields: {sorted(unknown)}")
-        agents.append(
-            TestAgent(
-                id=str(entry["id"]),
-                budget=float(entry["budget"]),
-                capabilities=frozenset(str(x) for x in entry.get("capabilities", [])),
-                active=bool(entry.get("active", True)),
-            )
-        )
-    return tests, agents
+    cycle: int
 
 
 def load_repository(path: str | Path) -> tuple[list[TestCase], list[TestAgent]]:
-    with open(path, encoding="utf-8") as fh:
-        return repository_from_dict(json.load(fh))
+    """Load a repository file; people write these by hand, so the version may be omitted."""
+    repo = codec.load(Repository, path, version_optional=True)
+    return list(repo.tests), list(repo.agents)
 
 
 def save_repository(tests: Sequence[TestCase], agents: Sequence[TestAgent], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(repository_to_dict(tests, agents), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _record_to_line(record: ExecutionRecord) -> str:
-    return json.dumps(
-        {
-            "type": "record",
-            "test_id": record.test_id,
-            "agent_id": record.agent_id,
-            "cycle": record.cycle,
-            "outcome": record.outcome.value,
-            "actual_duration": record.actual_duration,
-        },
-        sort_keys=True,
-    )
-
-
-def _record_from_obj(obj: Mapping) -> ExecutionRecord:
-    return ExecutionRecord(
-        test_id=str(obj["test_id"]),
-        agent_id=str(obj["agent_id"]),
-        cycle=int(obj["cycle"]),
-        outcome=Outcome(obj["outcome"]),
-        actual_duration=float(obj["actual_duration"]),
-    )
+    codec.save(Repository(tuple(tests), tuple(agents)), path)
 
 
 def append_history(path: str | Path, records: Sequence[ExecutionRecord], completed_cycle: int) -> None:
     """Append one completed cycle (its records plus a completion marker) to a history log."""
     with open(path, "a", encoding="utf-8") as fh:
         for r in records:
-            fh.write(_record_to_line(r) + "\n")
-        fh.write(json.dumps({"type": "cycle", "cycle": completed_cycle}, sort_keys=True) + "\n")
+            line = {"type": "record", **codec.encode_fields(r)}
+            fh.write(json.dumps(line, sort_keys=True) + "\n")
+        marker = {"type": "cycle", **codec.encode(_CycleMarker(completed_cycle))}
+        fh.write(json.dumps(marker, sort_keys=True) + "\n")
 
 
 def load_history(path: str | Path) -> HistoryStore:
@@ -345,28 +274,33 @@ def load_history(path: str | Path) -> HistoryStore:
     store = HistoryStore()
     pending: list[ExecutionRecord] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            kind = obj.get("type")
-            if kind == "record":
-                pending.append(_record_from_obj(obj))
-            elif kind == "cycle":
-                cycle = int(obj["cycle"])
-                if cycle != store.current_cycle:
+            try:
+                obj = json.loads(line)
+                if type(obj) is not dict:
+                    raise ValueError("expected an object")
+                kind = obj.pop("type", None)
+                if kind == "record":
+                    pending.append(codec.decode_fields(ExecutionRecord, obj))
+                    continue
+                if kind != "cycle":
+                    raise ValueError(f"unknown history line type: {kind!r}")
+                cycle = codec.decode(_CycleMarker, obj).cycle
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
+            if cycle != store.current_cycle:
+                raise ValueError(
+                    f"history cycle marker {cycle} does not match expected {store.current_cycle}"
+                )
+            for r in pending:
+                if r.cycle != cycle:
                     raise ValueError(
-                        f"history cycle marker {cycle} does not match expected {store.current_cycle}"
+                        f"record for cycle {r.cycle} inside cycle {cycle} block"
                     )
-                for r in pending:
-                    if r.cycle != cycle:
-                        raise ValueError(
-                            f"record for cycle {r.cycle} inside cycle {cycle} block"
-                        )
-                    store.add_record(r)
-                store.advance_cycle()
-                pending = []
-            else:
-                raise ValueError(f"unknown history line type: {kind!r}")
+                store.add_record(r)
+            store.advance_cycle()
+            pending = []
     return store

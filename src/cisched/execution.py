@@ -9,18 +9,16 @@ of the order agents execute in.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from cisched import codec
 from cisched.domain import ExecutionRecord, HistoryStore, Outcome, TestAgent
 from cisched.priority import PrioritizedTest
 from cisched.scheduling import Schedule
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -179,117 +177,17 @@ def result_path(out_dir: str | Path, cycle: int, agent_id: str) -> Path:
     return Path(out_dir) / f"cycle_{cycle}" / f"result_{agent_id}.json"
 
 
-def plan_to_dict(plan: TestPlan) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "agent_id": plan.agent_id,
-        "cycle": plan.cycle,
-        "entries": [
-            {
-                "test_id": e.test_id,
-                "planned_duration": e.planned_duration,
-                "priority": e.priority,
-            }
-            for e in plan.entries
-        ],
-    }
-
-
-def plan_from_dict(data: dict) -> TestPlan:
-    _check_fields(data, {"format_version", "agent_id", "cycle", "entries"}, "plan")
-    _check_version(data)
-    entries = []
-    for raw in data["entries"]:
-        _check_fields(raw, {"test_id", "planned_duration", "priority"}, "plan entry")
-        entries.append(
-            PlanEntry(
-                test_id=raw["test_id"],
-                planned_duration=raw["planned_duration"],
-                priority=raw["priority"],
-            )
-        )
-    return TestPlan(agent_id=data["agent_id"], cycle=data["cycle"], entries=tuple(entries))
-
-
-def result_to_dict(result: AgentResult) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "agent_id": result.agent_id,
-        "cycle": result.cycle,
-        "records": [
-            {
-                "test_id": r.test_id,
-                "agent_id": r.agent_id,
-                "cycle": r.cycle,
-                "outcome": r.outcome.value,
-                "actual_duration": r.actual_duration,
-            }
-            for r in result.records
-        ],
-        "log_lines": list(result.log_lines),
-    }
-
-
-def result_from_dict(data: dict) -> AgentResult:
-    _check_fields(data, {"format_version", "agent_id", "cycle", "records", "log_lines"}, "result")
-    _check_version(data)
-    records = []
-    for raw in data["records"]:
-        _check_fields(
-            raw, {"test_id", "agent_id", "cycle", "outcome", "actual_duration"}, "result record"
-        )
-        records.append(
-            ExecutionRecord(
-                test_id=raw["test_id"],
-                agent_id=raw["agent_id"],
-                cycle=raw["cycle"],
-                outcome=Outcome(raw["outcome"]),
-                actual_duration=raw["actual_duration"],
-            )
-        )
-    return AgentResult(
-        agent_id=data["agent_id"],
-        cycle=data["cycle"],
-        records=tuple(records),
-        log_lines=tuple(data["log_lines"]),
-    )
-
-
 def save_plan(plan: TestPlan, path: str | Path) -> None:
-    _write_json(plan_to_dict(plan), path)
+    codec.save(plan, path)
 
 
 def load_plan(path: str | Path) -> TestPlan:
-    return plan_from_dict(_read_json(path))
+    return codec.load(TestPlan, path)
 
 
 def save_result(result: AgentResult, path: str | Path) -> None:
-    _write_json(result_to_dict(result), path)
+    codec.save(result, path)
 
 
 def load_result(path: str | Path) -> AgentResult:
-    return result_from_dict(_read_json(path))
-
-
-def _write_json(data: dict, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
-def _check_fields(data: dict, expected: set[str], label: str) -> None:
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown {label} fields: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing {label} fields: {sorted(missing)}")
-
-
-def _check_version(data: dict) -> None:
-    if data["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version: {data['format_version']!r}")
+    return codec.load(AgentResult, path)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,12 +10,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from cisched import codec
 from cisched.domain import Outcome, TestAgent
 from cisched.execution import AgentResult, TestPlan
 from cisched.priority import PrioritizedTest
 from cisched.scheduling import Schedule, quantize_seconds
 
-FORMAT_VERSION = 1
 HISTOGRAM_BINS = 20
 # Campaign thresholds the utilization summary reports against.
 UTILIZATION_FLOOR = 0.91
@@ -31,10 +30,9 @@ class EmptyCampaignError(Exception):
 class CycleReport:
     """Metrics for one completed cycle.
 
-    ``solver_wall_time_ms`` is measured, not derived, so it is kept on the
-    object for operators but excluded from the persisted form; run timing
-    lands in a sidecar file instead, keeping report files identical across
-    reruns with the same seeds.
+    Every field derives from the schedule and the seeded execution, so
+    report files are identical across reruns with the same seeds; measured
+    wall times go to the simulator's timings sidecar instead.
     """
 
     cycle: int
@@ -47,7 +45,6 @@ class CycleReport:
     dropped_tests: int
     actual_utilization: float
     budget_overruns: int
-    solver_wall_time_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,6 @@ def make_cycle_report(
     prioritized: Sequence[PrioritizedTest],
     agents: Sequence[TestAgent],
     results: Sequence[AgentResult],
-    solver_wall_time_ms: float = 0.0,
 ) -> CycleReport:
     """Assemble the cycle's metrics from its schedule and execution results."""
     durations = {p.test.id: p.test.avg_duration for p in prioritized}
@@ -144,7 +140,6 @@ def make_cycle_report(
         dropped_tests=len(prioritized) - schedule.size,
         actual_utilization=actual_total / budget_total if budget_total else 0.0,
         budget_overruns=overruns,
-        solver_wall_time_ms=solver_wall_time_ms,
     )
 
 
@@ -230,80 +225,9 @@ def _open_for_write(path: Path):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def report_to_dict(report: CycleReport) -> dict:
-    # solver_wall_time_ms deliberately absent: see CycleReport.
-    return {
-        "format_version": FORMAT_VERSION,
-        "cycle": report.cycle,
-        "per_agent_utilization": dict(report.per_agent_utilization),
-        "overall_utilization": report.overall_utilization,
-        "scheduled_count": report.scheduled_count,
-        "executed_count": report.executed_count,
-        "fail_count": report.fail_count,
-        "priority_histogram": list(report.priority_histogram),
-        "dropped_tests": report.dropped_tests,
-        "actual_utilization": report.actual_utilization,
-        "budget_overruns": report.budget_overruns,
-    }
-
-
-def report_from_dict(data: dict) -> CycleReport:
-    expected = {
-        "format_version",
-        "cycle",
-        "per_agent_utilization",
-        "overall_utilization",
-        "scheduled_count",
-        "executed_count",
-        "fail_count",
-        "priority_histogram",
-        "dropped_tests",
-        "actual_utilization",
-        "budget_overruns",
-    }
-    unknown = set(data) - expected
-    if unknown:
-        raise ValueError(f"unknown report fields: {sorted(unknown)}")
-    missing = expected - set(data)
-    if missing:
-        raise ValueError(f"missing report fields: {sorted(missing)}")
-    if data["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version: {data['format_version']!r}")
-    return CycleReport(
-        cycle=data["cycle"],
-        per_agent_utilization=dict(data["per_agent_utilization"]),
-        overall_utilization=data["overall_utilization"],
-        scheduled_count=data["scheduled_count"],
-        executed_count=data["executed_count"],
-        fail_count=data["fail_count"],
-        priority_histogram=tuple(data["priority_histogram"]),
-        dropped_tests=data["dropped_tests"],
-        actual_utilization=data["actual_utilization"],
-        budget_overruns=data["budget_overruns"],
-    )
-
-
-def summary_to_dict(summary: CampaignSummary) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "cycles": summary.cycles,
-        "min_utilization": summary.min_utilization,
-        "median_utilization": summary.median_utilization,
-        "max_utilization": summary.max_utilization,
-        "fraction_at_least_91": summary.fraction_at_least_91,
-        "fraction_at_least_99": summary.fraction_at_least_99,
-        "aggregate_priority_histogram": list(summary.aggregate_priority_histogram),
-        "total_failures": summary.total_failures,
-    }
-
-
 def save_report(report: CycleReport, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    codec.save(report, path)
 
 
 def load_report(path: str | Path) -> CycleReport:
-    return report_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return codec.load(CycleReport, path)

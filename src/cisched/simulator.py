@@ -88,6 +88,7 @@ class _CycleArtifacts:
     results: tuple[AgentResult, ...]
     schedule: Schedule
     stats: SolveStats | None
+    wall_ms: float
 
 
 def run_cycle(state: SimulationState) -> CycleReport:
@@ -139,7 +140,7 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
     logger.info("cycle %d: executing %d plans", cycle, len(plans))
     results = [execute_plan(plan, cfg.outcome_model) for plan in plans]
     collect_results(results, state.history)
-    report = make_cycle_report(cycle, schedule, prioritized, active_agents, results, wall_ms)
+    report = make_cycle_report(cycle, schedule, prioritized, active_agents, results)
     logger.info(
         "cycle %d: utilization %.4f, %d executed, %d failed",
         cycle,
@@ -147,7 +148,7 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
         report.executed_count,
         report.fail_count,
     )
-    return _CycleArtifacts(report, tuple(plans), tuple(results), schedule, stats)
+    return _CycleArtifacts(report, tuple(plans), tuple(results), schedule, stats, wall_ms)
 
 
 def run_simulation(
@@ -207,7 +208,7 @@ def run_simulation(
             append_history(history_path, records, cycle)
             timing = {
                 "cycle": cycle,
-                "solver_wall_time_ms": artifacts.report.solver_wall_time_ms,
+                "solver_wall_time_ms": artifacts.wall_ms,
                 "nodes": artifacts.stats.nodes if artifacts.stats else 0,
                 "completed": artifacts.stats.completed if artifacts.stats else True,
                 "backend": artifacts.stats.backend if artifacts.stats else None,

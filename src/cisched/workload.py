@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from cisched import codec
 from cisched.domain import TestAgent, TestCase
 from cisched.execution import OutcomeModel
 
@@ -93,50 +93,10 @@ def generate_workload(spec: WorkloadSpec) -> tuple[list[TestCase], list[TestAgen
     return tests, agents, model
 
 
-_SPEC_FIELDS = {
-    "test_count",
-    "agent_count",
-    "duration_min",
-    "duration_max",
-    "compatibility_density",
-    "obligatory_fraction",
-    "defect_min",
-    "defect_max",
-    "budget",
-    "seed",
-}
-
-
-def workload_from_dict(data: dict) -> WorkloadSpec:
-    unknown = set(data) - _SPEC_FIELDS
-    if unknown:
-        raise ValueError(f"unknown workload fields: {sorted(unknown)}")
-    missing = _SPEC_FIELDS - set(data)
-    if missing:
-        raise ValueError(f"missing workload fields: {sorted(missing)}")
-    return WorkloadSpec(**data)
-
-
-def workload_to_dict(spec: WorkloadSpec) -> dict:
-    return {
-        "test_count": spec.test_count,
-        "agent_count": spec.agent_count,
-        "duration_min": spec.duration_min,
-        "duration_max": spec.duration_max,
-        "compatibility_density": spec.compatibility_density,
-        "obligatory_fraction": spec.obligatory_fraction,
-        "defect_min": spec.defect_min,
-        "defect_max": spec.defect_max,
-        "budget": spec.budget,
-        "seed": spec.seed,
-    }
-
-
 def load_workload(path: str | Path) -> WorkloadSpec:
-    return workload_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Load a workload spec; people write these by hand, so the version may be omitted."""
+    return codec.load(WorkloadSpec, path, version_optional=True)
 
 
 def save_workload(spec: WorkloadSpec, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(workload_to_dict(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    codec.save(spec, path)

@@ -38,13 +38,13 @@ from cisched import (
     solve_detailed,
     staleness,
 )
+from cisched.codec import encode
 from cisched.execution import load_plan, load_result, save_plan, save_result
 from cisched.kernels import warmup
 from cisched.reporting import (
     campaign_summary,
     make_cycle_report,
     save_report,
-    summary_to_dict,
 )
 from cisched.scheduling import check_schedule
 
@@ -366,7 +366,7 @@ def test_criterion_8_round_trip(tmp_path):
 
         summary_path = tmp_path / "campaign_summary.json"
         summary_path.write_text(
-            json.dumps(summary_to_dict(campaign_summary(reports)), indent=2) + "\n",
+            json.dumps(encode(campaign_summary(reports)), indent=2) + "\n",
             encoding="utf-8",
         )
         written.append(summary_path)

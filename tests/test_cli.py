@@ -234,3 +234,31 @@ def test_seed_flag_reproduces_runs(tmp_path):
     b = (outs[1] / "cycle_0" / "report.json").read_bytes()
     assert a == b
     assert (outs[0] / "history.jsonl").read_bytes() == (outs[1] / "history.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, content, args",
+    [
+        ("bad.json", "5", ["validate", "--repo", "{bad}"]),
+        ("bad.json", "[]", ["validate", "--repo", "{bad}"]),
+        ("bad.json", "5", ["generate-workload", "--workload", "{bad}", "--out", "{tmp}/gen"]),
+        ("run/cycle_0/report.json", "5", ["report", "--in", "{tmp}/run", "--out", "{tmp}/out"]),
+        (
+            "bad.jsonl",
+            "[1]",
+            ["schedule", "--repo", "{repo}", "--history", "{bad}", "--out", "{tmp}/plans"],
+        ),
+    ],
+    ids=["repo-number", "repo-list", "workload-number", "report-number", "history-list"],
+)
+def test_wrong_shaped_documents_exit_1(tmp_path, name, content, args):
+    repo = small_repo_path(tmp_path)
+    bad = tmp_path / name
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    bad.write_text(content + "\n", encoding="utf-8")
+    proc = run_cli(*(a.format(bad=bad, tmp=tmp_path, repo=repo) for a in args))
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert payload["message"]

@@ -61,7 +61,7 @@ def test_unknown_keys_are_rejected(tmp_path):
 
 
 def test_type_mismatches_are_rejected(tmp_path):
-    with pytest.raises(TypeMismatchError):
+    with pytest.raises(TypeMismatchError, match=r"solver\.time_budget_ms"):
         parse_config(write_config(tmp_path, "solver:\n  time_budget_ms: fast\n"))
     with pytest.raises(TypeMismatchError):
         parse_config(write_config(tmp_path, "solver:\n  time_budget_ms: true\n"))
@@ -97,7 +97,7 @@ def test_empty_file_is_defaults(tmp_path):
 
 
 def test_semantic_validation(tmp_path):
-    with pytest.raises(TypeMismatchError):
+    with pytest.raises(TypeMismatchError, match=r"simulation\.scheduler"):
         parse_config(None, {"simulation.scheduler": "fastest"})
     with pytest.raises(TypeMismatchError):
         parse_config(None, {"simulation.cycles": 0})

@@ -22,7 +22,8 @@ from cisched import (
     save_repository,
     validate_repository,
 )
-from cisched.domain import repository_from_dict, repository_to_dict
+from cisched.codec import decode, encode
+from cisched.domain import Repository
 
 from helpers import make_agent, make_test
 
@@ -195,9 +196,21 @@ def test_repository_round_trip(tmp_path):
 
 
 def test_repository_rejects_unknown_fields():
-    doc = repository_to_dict([make_test("t0")], [make_agent("a0")])
+    doc = encode(Repository((make_test("t0"),), (make_agent("a0"),)))
     doc["tests"][0]["color"] = "red"
     with pytest.raises(ValueError):
-        repository_from_dict(doc)
+        decode(Repository, doc, version_optional=True)
     with pytest.raises(ValueError):
-        repository_from_dict({"tests": [], "agents": [], "extra": 1})
+        decode(Repository, {"tests": [], "agents": [], "extra": 1}, version_optional=True)
+
+    # Wrongly typed and missing fields are rejected, never coerced.
+    good = encode(Repository((make_test("t0"),), (make_agent("a0"),)))
+    for field, value in (("obligatory", "false"), ("compatible_agents", "ab")):
+        bad = json.loads(json.dumps(good))
+        bad["tests"][0][field] = value
+        with pytest.raises(ValueError, match=field):
+            decode(Repository, bad, version_optional=True)
+    bad = json.loads(json.dumps(good))
+    del bad["tests"][0]["avg_duration"]
+    with pytest.raises(ValueError, match="avg_duration"):
+        decode(Repository, bad, version_optional=True)

@@ -18,9 +18,11 @@ from cisched import (
     PrioritizedTest,
     Schedule,
     TestPlan,
+    append_history,
     collect_results,
     emit_test_plans,
     execute_plan,
+    load_history,
     load_plan,
     load_result,
     plan_path,
@@ -28,13 +30,7 @@ from cisched import (
     save_plan,
     save_result,
 )
-from cisched.execution import (
-    FORMAT_VERSION,
-    plan_from_dict,
-    plan_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from cisched.codec import FORMAT_VERSION, decode, encode
 
 from helpers import make_agent, make_test
 
@@ -183,7 +179,7 @@ def test_artifact_paths():
 
 def test_plan_round_trip(tmp_path):
     plan = sample_plan()
-    assert plan_from_dict(plan_to_dict(plan)) == plan
+    assert decode(TestPlan, encode(plan)) == plan
     path = tmp_path / "plan.json"
     save_plan(plan, path)
     assert load_plan(path) == plan
@@ -193,7 +189,7 @@ def test_plan_round_trip(tmp_path):
 
 def test_result_round_trip(tmp_path):
     result = execute_plan(sample_plan(), OutcomeModel({}, seed=5))
-    assert result_from_dict(result_to_dict(result)) == result
+    assert decode(AgentResult, encode(result)) == result
     path = tmp_path / "result.json"
     save_result(result, path)
     assert load_result(path) == result
@@ -201,23 +197,39 @@ def test_result_round_trip(tmp_path):
     assert data["format_version"] == FORMAT_VERSION
 
 
-def test_serialization_rejects_malformed_documents():
-    plan_doc = plan_to_dict(sample_plan())
+def test_serialization_rejects_malformed_documents(tmp_path):
+    plan_doc = encode(sample_plan())
     missing = dict(plan_doc)
     del missing["cycle"]
     with pytest.raises(ValueError):
-        plan_from_dict(missing)
+        decode(TestPlan, missing)
     extra = dict(plan_doc)
     extra["note"] = "hi"
     with pytest.raises(ValueError):
-        plan_from_dict(extra)
+        decode(TestPlan, extra)
     wrong_version = dict(plan_doc)
     wrong_version["format_version"] = 99
     with pytest.raises(ValueError):
-        plan_from_dict(wrong_version)
+        decode(TestPlan, wrong_version)
+    # A string duration used to load and only failed later, in CSV export.
+    bad_duration = json.loads(json.dumps(plan_doc))
+    bad_duration["entries"][0]["planned_duration"] = "fast"
+    with pytest.raises(ValueError, match="planned_duration"):
+        decode(TestPlan, bad_duration)
 
-    result_doc = result_to_dict(execute_plan(sample_plan(), OutcomeModel({})))
+    result_doc = encode(execute_plan(sample_plan(), OutcomeModel({})))
     bad_entry = json.loads(json.dumps(result_doc))
     bad_entry["records"][0]["surprise"] = 1
     with pytest.raises(ValueError):
-        result_from_dict(bad_entry)
+        decode(AgentResult, bad_entry)
+
+    # History cycle markers carry the format version like every artifact.
+    path = tmp_path / "history.jsonl"
+    append_history(path, [], 0)
+    marker = json.loads(path.read_text(encoding="utf-8"))
+    assert marker["format_version"] == FORMAT_VERSION
+    unversioned = {k: v for k, v in marker.items() if k != "format_version"}
+    for bad_marker in ({**marker, "format_version": 99}, unversioned):
+        path.write_text(json.dumps(bad_marker) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="format_version"):
+            load_history(path)

@@ -16,7 +16,7 @@ from cisched import (
     schedule_optimal,
     validate_repository,
 )
-from cisched.workload import workload_from_dict, workload_to_dict
+from cisched.codec import decode, encode
 
 
 def spec(**overrides) -> WorkloadSpec:
@@ -94,13 +94,15 @@ def test_spec_validation():
 
 def test_workload_round_trip(tmp_path):
     original = spec()
-    assert workload_from_dict(workload_to_dict(original)) == original
+    assert decode(WorkloadSpec, encode(original)) == original
     path = tmp_path / "workload.json"
     save_workload(original, path)
     assert load_workload(path) == original
     with pytest.raises(ValueError):
-        workload_from_dict({**workload_to_dict(original), "shape": "oval"})
-    doc = workload_to_dict(original)
+        decode(WorkloadSpec, {**encode(original), "shape": "oval"})
+    doc = encode(original)
     del doc["budget"]
     with pytest.raises(ValueError):
-        workload_from_dict(doc)
+        decode(WorkloadSpec, doc)
+    with pytest.raises(ValueError, match="test_count"):
+        decode(WorkloadSpec, {**encode(original), "test_count": 5.5})
