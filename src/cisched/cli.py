@@ -261,31 +261,27 @@ def _cmd_simulate(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
     sim = cfg.simulation
     history = None
+    defect_probabilities = {}
     if args.repo:
         loaded = _load_valid_repository(args.repo)
         if loaded is None:
             return 1
         tests, agents = loaded
         history = load_history(args.history) if args.history else HistoryStore()
-        model = OutcomeModel(
-            defect_probabilities={},
-            default_probability=sim.default_defect_probability,
-            duration_jitter=(sim.jitter_low, sim.jitter_high),
-            seed=sim.seed,
-        )
     else:
         spec = load_workload(args.workload) if args.workload else cfg.workload
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         tests, agents, generated = generate_workload(spec)
-        # Per-test defect rates come from the workload; stream seed and
-        # jitter belong to the simulation section.
-        model = OutcomeModel(
-            defect_probabilities=generated.defect_probabilities,
-            default_probability=sim.default_defect_probability,
-            duration_jitter=(sim.jitter_low, sim.jitter_high),
-            seed=sim.seed,
-        )
+        defect_probabilities = generated.defect_probabilities
+    # Per-test defect rates come from a generated workload; stream seed and
+    # jitter belong to the simulation section.
+    model = OutcomeModel(
+        defect_probabilities=defect_probabilities,
+        default_probability=sim.default_defect_probability,
+        duration_jitter=(sim.jitter_low, sim.jitter_high),
+        seed=sim.seed,
+    )
     sim_config = SimulationConfig(
         cycles=sim.cycles,
         scheduler=sim.scheduler,

@@ -93,9 +93,11 @@ def dump(data: Any, path: str | Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# A value rule is (JSON type, decoder, encoder, nullable). The decoder runs
-# only after the exact type check passed; None stands for the identity.
-_Rule = tuple[type, "Callable | None", "Callable | None", bool]
+# A value rule is (JSON type, decoder, encoder, as-is types). The decoder
+# runs only after the exact type check passed; None stands for the identity.
+# As-is types pass unchanged: None where null is allowed, and an enum's own
+# members, which only Python callers such as config overrides can pass.
+_Rule = tuple[type, "Callable | None", "Callable | None", tuple]
 
 
 @functools.cache
@@ -104,8 +106,8 @@ def _class_codec(cls: type) -> tuple[Callable, Callable]:
     hints = typing.get_type_hints(cls)
     decoders, encoders = [], []
     for f in fields(cls):
-        want, dec, enc, nullable = _rule(hints[f.name])
-        decoders.append((f.name, want, dec, nullable, f.default))
+        want, dec, enc, as_is = _rule(hints[f.name])
+        decoders.append((f.name, want, dec, as_is, f.default))
         encoders.append((f.name, enc))
     allowed = {f.name for f in fields(cls)}
 
@@ -115,7 +117,7 @@ def _class_codec(cls: type) -> tuple[Callable, Callable]:
         args = []
         found = 0
         try:
-            for name, want, dec, nullable, default in decoders:
+            for name, want, dec, as_is, default in decoders:
                 v = data.get(name, MISSING)
                 if v is MISSING:
                     if default is MISSING:
@@ -124,7 +126,7 @@ def _class_codec(cls: type) -> tuple[Callable, Callable]:
                 else:
                     found += 1
                     if type(v) is not want:
-                        v = _loose(v, want, nullable)
+                        v = _loose(v, want, as_is)
                     elif dec is not None:
                         v = dec(v)
                 args.append(v)
@@ -149,10 +151,10 @@ def _rule(hint: Any) -> _Rule:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
-        want, dec, enc, _ = _rule(inner)
-        return want, dec, enc and (lambda v: None if v is None else enc(v)), True
+        want, dec, enc, as_is = _rule(inner)
+        return want, dec, enc and (lambda v: None if v is None else enc(v)), (*as_is, type(None))
     if hint in (str, int, float, bool):
-        return hint, None, None, False
+        return hint, None, None, ()
     if isinstance(hint, type) and issubclass(hint, Enum):
         members = {m.value: m for m in hint}
 
@@ -161,9 +163,9 @@ def _rule(hint: Any) -> _Rule:
                 raise DecodeError(f"expected one of {sorted(members)}, got {v!r}")
             return members[v]
 
-        return str, member, lambda m: m.value, False
+        return str, member, lambda m: m.value, (hint,)
     if is_dataclass(hint):
-        return dict, *_class_codec(hint), False
+        return dict, *_class_codec(hint), ()
     if origin in (frozenset, tuple):
         item = _rule(args[0])
         size = len(args) if origin is tuple and args[-1] is not Ellipsis else None
@@ -176,22 +178,22 @@ def _rule(hint: Any) -> _Rule:
         enc = item[2]
         # Sets encode sorted, so equal sets always serialize to the same bytes.
         encode_list = list if enc is None else lambda v: [enc(x) for x in v]
-        return list, sequence, sorted if origin is frozenset else encode_list, False
+        return list, sequence, sorted if origin is frozenset else encode_list, ()
     if origin in (Mapping, dict):
         item = _rule(args[1])
         enc = item[2]
         encode_map = dict if enc is None else lambda v: {k: enc(x) for k, x in v.items()}
-        return dict, lambda v: dict(zip(v, _items(v.values(), item, v))), encode_map, False
+        return dict, lambda v: dict(zip(v, _items(v.values(), item, v))), encode_map, ()
     raise TypeError(f"no JSON form for {hint!r}")
 
 
 def _items(values: Any, rule: _Rule, keys: Any = None) -> list:
-    want, dec, _, nullable = rule
+    want, dec, _, as_is = rule
     out = []
     try:
         for i, v in enumerate(values):
             if type(v) is not want:
-                v = _loose(v, want, nullable)
+                v = _loose(v, want, as_is)
             elif dec is not None:
                 v = dec(v)
             out.append(v)
@@ -201,13 +203,13 @@ def _items(values: Any, rule: _Rule, keys: Any = None) -> list:
     return out
 
 
-def _loose(v: Any, want: type, nullable: bool) -> Any:
-    """The only accepted mismatches: an int for a float, and null where allowed."""
+def _loose(v: Any, want: type, as_is: tuple) -> Any:
+    """The only accepted mismatches: an int for a float, and an as-is type."""
     if want is float and type(v) is int:
         return float(v)
-    if v is None and nullable:
-        return None
-    expected = f"{want.__name__} or null" if nullable else want.__name__
+    if type(v) in as_is:
+        return v
+    expected = f"{want.__name__} or null" if type(None) in as_is else want.__name__
     raise DecodeError(f"expected {expected}, got {_describe(v)}")
 
 

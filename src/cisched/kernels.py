@@ -1,17 +1,26 @@
 """Branch-and-bound search kernel with numba and pure-Python backends.
 
-The kernel is one function over int64 arrays. When numba is importable and
-CISCHED_NO_NUMBA is unset, an njit-compiled copy is built; the plain
-function stays available as the fallback. Both backends execute the same
-bytecode-level logic over integers, so they visit nodes in the same order
-and produce identical incumbents for a given node budget.
+The kernel is one function over int64 arrays and scalars. When numba is
+importable and CISCHED_NO_NUMBA is unset, an njit-compiled copy is built;
+the plain function stays available as the fallback. Both backends execute
+the same bytecode-level logic over integers, so they visit nodes in the
+same order and produce identical incumbents for a given node budget.
+
+:func:`search_args` is the only builder of kernel inputs: it derives the
+search-only arrays from a PackedInstance, so greedy never pays for them.
+:func:`warmup` compiles through it, so numba sees the solver's types.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cmp_to_key
 
 import numpy as np
+
+from cisched.domain import TestAgent, TestCase
+from cisched.priority import PrioritizedTest
+from cisched.scheduling import PackedInstance, build_instance
 
 # Node throughput used to convert a wall-clock budget into a deterministic
 # node budget. Calibrated with benchmarks/bench_backends.py; the exact value
@@ -52,11 +61,13 @@ def _search_chunk(
     done = 0
     while nodes < node_budget:
         d = ctl[0]
+        back = False
 
         if d == n:
             # Leaf: full assignment. Replace the incumbent if strictly
             # better, or equal with a smaller sorted (test, agent) pair key.
             nodes += 1
+            back = True
             better = False
             if acc[0] != inc_acc[0]:
                 better = acc[0] > inc_acc[0]
@@ -100,23 +111,8 @@ def _search_chunk(
                 inc_acc[0] = acc[0]
                 inc_acc[1] = acc[1]
                 inc_acc[2] = acc[2]
-            if n == 0:
-                done = 1
-                break
-            # Backtrack from the leaf.
-            d = n - 1
-            ctl[0] = d
-            c = pos[d] - 1
-            if c < child_counts[d]:
-                j = child_agents[d, c]
-                residual[j] += dur[d]
-                acc[0] -= prio[d]
-                acc[1] -= stale[d, j]
-                acc[2] -= dur[d]
-                assign[d] = -1
-            continue
 
-        if pos[d] == 0:
+        elif pos[d] == 0:
             # Fresh node: bound the subtree against the incumbent. Each
             # bound component is independently optimistic, so componentwise
             # domination makes the lexicographic comparison safe; pruning
@@ -126,11 +122,10 @@ def _search_chunk(
             pool = 0
             for j in range(m):
                 pool += residual[j]
-            prune = False
             if suffix_oblig_dur[d] > pool:
                 # Remaining obligatory tests cannot fit even when capacity
                 # is pooled: no feasible leaf below this node.
-                prune = True
+                back = True
             else:
                 p_bound = acc[0]
                 rem = pool
@@ -152,56 +147,37 @@ def _search_chunk(
                     t_extra = pool
                 t_bound = acc[2] + t_extra
                 if p_bound != inc_acc[0]:
-                    prune = p_bound < inc_acc[0]
+                    back = p_bound < inc_acc[0]
                 elif d_bound != inc_acc[1]:
-                    prune = d_bound < inc_acc[1]
+                    back = d_bound < inc_acc[1]
                 else:
-                    prune = t_bound < inc_acc[2]
-            if prune:
-                if d == 0:
-                    done = 1
-                    break
-                d -= 1
-                ctl[0] = d
-                c = pos[d] - 1
-                if c < child_counts[d]:
-                    j = child_agents[d, c]
-                    residual[j] += dur[d]
-                    acc[0] -= prio[d]
-                    acc[1] -= stale[d, j]
-                    acc[2] -= dur[d]
-                    assign[d] = -1
-                continue
+                    back = t_bound < inc_acc[2]
 
-        # Advance to the next viable child at this depth: compatible agents
-        # with room, stalest first, then (for non-obligatory tests) skip.
-        total = child_counts[d]
-        if oblig[d] == 0:
-            total += 1
-        c = pos[d]
-        advanced = False
-        while c < total:
-            if c < child_counts[d]:
-                j = child_agents[d, c]
-                if dur[d] <= residual[j]:
+        if not back:
+            # Descend into the next viable child: compatible agents with
+            # room, stalest first, then skip (child index child_counts[d]).
+            count = child_counts[d]
+            total = count + 1 - oblig[d]
+            c = pos[d]
+            while c < count and dur[d] > residual[child_agents[d, c]]:
+                c += 1
+            if c < total:
+                if c < count:
+                    j = child_agents[d, c]
                     assign[d] = j
                     residual[j] -= dur[d]
                     acc[0] += prio[d]
                     acc[1] += stale[d, j]
                     acc[2] += dur[d]
-                    pos[d] = c + 1
-                    ctl[0] = d + 1
-                    pos[d + 1] = 0
-                    advanced = True
-                    break
-                c += 1
-            else:
                 pos[d] = c + 1
                 ctl[0] = d + 1
                 pos[d + 1] = 0
-                advanced = True
-                break
-        if not advanced:
+            else:
+                back = True
+
+        if back:
+            # Leaf, pruned subtree or no child left: undo the parent's
+            # choice. Backtracking past the root ends the search.
             if d == 0:
                 done = 1
                 break
@@ -252,33 +228,71 @@ def get_kernel(backend: str):
     return _search_chunk
 
 
+def density_order(prio: np.ndarray, dur: np.ndarray) -> np.ndarray:
+    """Test indices by descending priority per unit time, exactly.
+
+    Densities compare by bigint cross-multiplication, so float rounding can
+    never reorder them; equal densities keep index order.
+    """
+    p = [int(x) for x in prio]
+    t = [int(x) for x in dur]
+
+    def denser(i: int, j: int) -> int:
+        lhs = p[i] * t[j]
+        rhs = p[j] * t[i]
+        if lhs != rhs:
+            return -1 if lhs > rhs else 1
+        return -1 if i < j else 1
+
+    return np.array(sorted(range(len(p)), key=cmp_to_key(denser)), dtype=np.int64)
+
+
+def _suffix_sums(values: np.ndarray) -> np.ndarray:
+    """int64[n+1] whose entry d is the sum of values[d:]."""
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    out[:-1] = np.cumsum(values[::-1])[::-1]
+    return out
+
+
+def search_args(packed: PackedInstance, incumbent: np.ndarray) -> tuple:
+    """Every kernel argument except node_budget, in signature order.
+
+    ``incumbent`` is passed itself: the kernel overwrites it in place
+    whenever it finds a better assignment.
+    """
+    n, m = packed.n, packed.m
+    stale = packed.stale_u
+    # Children per test: compatible agents ordered stalest-first so the
+    # search meets diverse assignments early; skip is implicit last.
+    child_agents = np.full((n, max(m, 1)), -1, dtype=np.int64)
+    child_counts = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        cols = [j for j in range(m) if packed.compat[i, j]]
+        cols.sort(key=lambda j: (-stale[i, j], packed.agent_rank[j]))
+        child_counts[i] = len(cols)
+        child_agents[i, : len(cols)] = cols
+    dur, oblig = packed.dur_us, packed.oblig
+    return (
+        n, m, dur, packed.prio_u, stale, oblig, child_agents, child_counts,
+        density_order(packed.prio_u, dur),
+        _suffix_sums(stale.max(axis=1, initial=0)), _suffix_sums(dur), _suffix_sums(dur * oblig),
+        packed.rank_to_idx, packed.agent_rank,
+        # Traversal state at the root: pos, assign, residual, acc, ctl.
+        np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), packed.budget_us.copy(),
+        np.zeros(3, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        incumbent, np.array(packed.objective_units(incumbent), dtype=np.int64),
+    )
+
+
 def warmup(backend: str = "auto") -> str:
     """Trigger JIT compilation on a tiny instance; returns the backend used."""
     resolved = resolve_backend(backend)
-    kernel = get_kernel(resolved)
-    n, m = 2, 1
-    kernel(
-        n,
-        m,
-        np.array([1, 1], dtype=np.int64),
-        np.array([2, 1], dtype=np.int64),
-        np.array([[1], [1]], dtype=np.int64),
-        np.array([0, 0], dtype=np.int64),
-        np.array([[0], [0]], dtype=np.int64),
-        np.array([1, 1], dtype=np.int64),
-        np.array([0, 1], dtype=np.int64),
-        np.array([2, 1, 0], dtype=np.int64),
-        np.array([2, 1, 0], dtype=np.int64),
-        np.array([0, 0, 0], dtype=np.int64),
-        np.array([0, 1], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.zeros(3, dtype=np.int64),
-        np.full(2, -1, dtype=np.int64),
-        np.array([2], dtype=np.int64),
-        np.zeros(3, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.full(2, -1, dtype=np.int64),
-        np.zeros(3, dtype=np.int64),
-        np.int64(10_000),
-    )
+    agent = TestAgent(id="a0", budget=2.0)
+    tests = [
+        PrioritizedTest(TestCase(f"t{i}", 1.0, 0.5, frozenset({"a0"})), 1.0 - 0.5 * i)
+        for i in range(2)
+    ]
+    packed = PackedInstance(build_instance(tests, [agent], {}, 0))
+    incumbent = np.full(packed.n, -1, dtype=np.int64)
+    get_kernel(resolved)(*search_args(packed, incumbent), np.int64(10_000))
     return resolved

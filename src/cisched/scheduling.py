@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -180,6 +179,7 @@ class PackedInstance:
     Tests keep the prioritized order (index == search depth), agents keep
     the instance order (index == column). Ranks are positions in the sorted
     id order and drive the deterministic tie-break on assignment pairs.
+    Arrays only the search reads are built by cisched.kernels.search_args.
     """
 
     def __init__(self, instance: SchedulingInstance) -> None:
@@ -225,42 +225,6 @@ class PackedInstance:
             self.rank_to_idx[test_rank[t_id]] = i
         agent_rank = {a_id: r for r, a_id in enumerate(sorted(self.agent_ids))}
         self.agent_rank = np.array([agent_rank[a.id] for a in agents], dtype=np.int64)
-
-        # Children per test: compatible agents ordered stalest-first so the
-        # search meets diverse assignments early; skip is implicit last.
-        self.child_agents = np.full((n, max(m, 1)), -1, dtype=np.int64)
-        self.child_counts = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            cols = [j for j in range(m) if self.compat[i, j]]
-            cols.sort(key=lambda j: (-self.stale_u[i, j], self.agent_rank[j]))
-            self.child_counts[i] = len(cols)
-            for k, j in enumerate(cols):
-                self.child_agents[i, k] = j
-
-        # Exact density order for the fractional-relaxation bound: priority
-        # per unit time, compared with bigint cross-multiplication so float
-        # rounding can never reorder it.
-        def denser(i: int, j: int) -> int:
-            lhs = int(self.prio_u[i]) * int(self.dur_us[j])
-            rhs = int(self.prio_u[j]) * int(self.dur_us[i])
-            if lhs != rhs:
-                return -1 if lhs > rhs else 1
-            return -1 if i < j else 1
-
-        self.dens_order = np.array(
-            sorted(range(n), key=cmp_to_key(denser)), dtype=np.int64
-        )
-
-        max_stale = self.stale_u.max(axis=1) if m and n else np.zeros(n, dtype=np.int64)
-        self.suffix_stale = np.zeros(n + 1, dtype=np.int64)
-        self.suffix_dur = np.zeros(n + 1, dtype=np.int64)
-        self.suffix_oblig_dur = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            self.suffix_stale[i] = self.suffix_stale[i + 1] + max_stale[i]
-            self.suffix_dur[i] = self.suffix_dur[i + 1] + self.dur_us[i]
-            self.suffix_oblig_dur[i] = self.suffix_oblig_dur[i + 1] + (
-                self.dur_us[i] if self.oblig[i] else 0
-            )
 
     def objective_units(self, assign: np.ndarray) -> tuple[int, int, int]:
         """Exact objective sums for an assignment array (test index -> column or -1)."""

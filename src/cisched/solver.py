@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cisched.kernels import DEFAULT_NODES_PER_MS, get_kernel, resolve_backend
+from cisched.kernels import DEFAULT_NODES_PER_MS, get_kernel, resolve_backend, search_args
 from cisched.scheduling import (
     PackedInstance,
     Schedule,
@@ -61,85 +61,56 @@ def solve_detailed(
     time budget times the backend's calibrated node throughput. Node budgets
     make reruns bit-identical; wall time only backstops miscalibration.
     """
-    packed = PackedInstance(instance)
     resolved = resolve_backend(backend)
+    per_ms = DEFAULT_NODES_PER_MS[resolved] if nodes_per_ms is None else nodes_per_ms
     if node_budget is None:
-        per_ms = DEFAULT_NODES_PER_MS[resolved] if nodes_per_ms is None else nodes_per_ms
         if per_ms < 1:
             raise ValueError("nodes_per_ms must be >= 1")
         node_budget = instance.solver_time_budget_ms * per_ms
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
 
+    # Wall time and the deadline both count packing, as the greedy
+    # scheduler's wall time does.
     start = time.perf_counter()
-    seed = greedy_assignment(packed)
+    packed = PackedInstance(instance)
+    incumbent = greedy_assignment(packed)
     missing = any(
-        packed.oblig[i] and seed[i] < 0 for i in range(packed.n)
+        packed.oblig[i] and incumbent[i] < 0 for i in range(packed.n)
     )
     if missing:
         # Greedy can starve obligatory tests; reseed from an exact placement
         # of just those, then fill the rest greedily.
         base = ensure_obligatory_coverage(packed)
-        seed = greedy_assignment(packed, initial_assign=base)
+        incumbent = greedy_assignment(packed, initial_assign=base)
 
     if packed.n == 0 or packed.m == 0:
-        schedule = packed.assignment_to_schedule(seed)
+        schedule = packed.assignment_to_schedule(incumbent)
         check_schedule(schedule, instance)
         wall_ms = (time.perf_counter() - start) * 1000.0
         return schedule, SolveStats(0, True, wall_ms, resolved, node_budget)
 
-    n, m = packed.n, packed.m
-    pos = np.zeros(n + 1, dtype=np.int64)
-    assign = np.full(n, -1, dtype=np.int64)
-    residual = packed.budget_us.copy()
-    acc = np.zeros(3, dtype=np.int64)
-    ctl = np.zeros(1, dtype=np.int64)
-    inc_assign = seed.copy()
-    inc_acc = np.array(packed.objective_units(seed), dtype=np.int64)
-
+    # The kernel improves the greedy seed in place.
+    args = search_args(packed, incumbent)
     kernel = get_kernel(resolved)
-    per_ms_nominal = DEFAULT_NODES_PER_MS[resolved] if nodes_per_ms is None else nodes_per_ms
-    chunk = max(int(per_ms_nominal) * CHUNK_MS, 1)
+    chunk = max(int(per_ms) * CHUNK_MS, 1)
     deadline = start + instance.solver_time_budget_ms * WALL_SAFETY_FACTOR / 1000.0
 
     used = 0
     done = 0
     while used < node_budget:
         step = min(chunk, node_budget - used)
-        done, nodes = kernel(
-            n,
-            m,
-            packed.dur_us,
-            packed.prio_u,
-            packed.stale_u,
-            packed.oblig,
-            packed.child_agents,
-            packed.child_counts,
-            packed.dens_order,
-            packed.suffix_stale,
-            packed.suffix_dur,
-            packed.suffix_oblig_dur,
-            packed.rank_to_idx,
-            packed.agent_rank,
-            pos,
-            assign,
-            residual,
-            acc,
-            ctl,
-            inc_assign,
-            inc_acc,
-            np.int64(step),
-        )
+        done, nodes = kernel(*args, np.int64(step))
         used += int(nodes)
         if done:
             break
         if time.perf_counter() > deadline:
             break
 
-    schedule = packed.assignment_to_schedule(inc_assign)
+    schedule = packed.assignment_to_schedule(incumbent)
     check_schedule(schedule, instance)
-    for i in range(n):
-        if packed.oblig[i] and inc_assign[i] < 0:
+    for i in range(packed.n):
+        if packed.oblig[i] and incumbent[i] < 0:
             raise RuntimeError("internal error: obligatory test left unassigned")
     wall_ms = (time.perf_counter() - start) * 1000.0
     return schedule, SolveStats(used, bool(done), wall_ms, resolved, node_budget)

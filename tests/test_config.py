@@ -112,5 +112,7 @@ def test_semantic_validation(tmp_path):
 
 
 def test_scheduler_values(tmp_path):
-    cfg = parse_config(None, {"simulation.scheduler": "greedy"})
-    assert cfg.simulation.scheduler is SchedulerKind.GREEDY
+    # A Python caller may pass the member itself; JSON and YAML give strings.
+    for value in ("greedy", SchedulerKind.GREEDY):
+        cfg = parse_config(None, {"simulation.scheduler": value})
+        assert cfg.simulation.scheduler is SchedulerKind.GREEDY

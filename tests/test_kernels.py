@@ -5,16 +5,26 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cisched.kernels import (
     DEFAULT_NODES_PER_MS,
     NUMBA_AVAILABLE,
     get_kernel,
     resolve_backend,
+    search_args,
     warmup,
 )
+from cisched.scheduling import PackedInstance, greedy_assignment
+
+from helpers import random_instance
+
+ROOT = Path(__file__).resolve().parents[1]
+BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
 
 
 def test_default_node_rates_cover_both_backends():
@@ -61,3 +71,43 @@ def test_env_flag_disables_numba():
     )
     assert proc.returncode != 0
     assert "CISCHED_NO_NUMBA" in proc.stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_chunked_search_resumes_exactly(seed):
+    # All traversal state lives in the arguments: 1-node calls must reach
+    # the state of one uninterrupted call with the same budget.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    instance = random_instance(rng, min_tests=10, max_tests=16, max_agents=4)
+    packed = PackedInstance(instance)
+    budget = 400
+    for backend in BACKENDS:
+        kernel = get_kernel(backend)
+        whole = search_args(packed, greedy_assignment(packed))
+        done, used = kernel(*whole, np.int64(budget))
+        stepped = search_args(packed, greedy_assignment(packed))
+        step_done, step_used = 0, 0
+        while step_used < budget and not step_done:
+            step_done, nodes = kernel(*stepped, np.int64(1))
+            step_used += nodes
+        assert (step_done, step_used) == (done, used)
+        # The last two arguments are the incumbent and its objective.
+        for got, want in zip(stepped[-2:], whole[-2:]):
+            assert np.array_equal(got, want)
+
+
+def test_bench_backends_runs():
+    # The calibration tool the README points to must keep running.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = str(ROOT / "benchmarks" / "bench_backends.py")
+    args = ["--tests", "30", "--agents", "3", "--repeats", "1", "--target-ms", "20"]
+    proc = subprocess.run(
+        [sys.executable, script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.lstrip().startswith("python:") for line in proc.stdout.splitlines())

@@ -17,6 +17,7 @@ from cisched import (
     pair_staleness,
     schedule_greedy,
 )
+from cisched.kernels import density_order
 from cisched.scheduling import (
     PRIORITY_UNIT,
     TIME_UNIT,
@@ -312,7 +313,7 @@ def test_density_order_is_exact_on_ties(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     instance = random_instance(rng, min_tests=2)
     packed = PackedInstance(instance)
-    order = list(packed.dens_order)
+    order = list(density_order(packed.prio_u, packed.dur_us))
     for earlier, later in zip(order, order[1:]):
         lhs = int(packed.prio_u[earlier]) * int(packed.dur_us[later])
         rhs = int(packed.prio_u[later]) * int(packed.dur_us[earlier])

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+import cisched.solver
 from cisched import (
     InfeasibleError,
     ObjectiveVector,
@@ -155,6 +158,19 @@ def test_anytime_budget_returns_seed_or_better():
     assert stats.nodes <= 1
     assert not stats.completed
     assert objective_tuple(got) >= objective_tuple(greedy)
+
+
+def test_wall_time_counts_packing(monkeypatch):
+    # Greedy's wall time includes packing, so the solver's must too.
+    real = cisched.solver.PackedInstance
+
+    def slow_packing(instance):
+        time.sleep(0.05)
+        return real(instance)
+
+    monkeypatch.setattr(cisched.solver, "PackedInstance", slow_packing)
+    _, stats = solve_detailed(trap_instance())
+    assert stats.wall_ms >= 50
 
 
 def test_node_budget_validation():
