@@ -167,13 +167,7 @@ def _load_valid_repository(path: str):
             {"kind": v.kind.value, "subject": v.subject, "message": v.message}
             for v in result.violations
         ]
-        print(
-            json.dumps(
-                {"error": "validation", "message": f"invalid repository: {path}", "violations": violations},
-                sort_keys=True,
-            ),
-            file=sys.stderr,
-        )
+        _fail("validation", f"invalid repository: {path}", violations=violations)
         return None
     return tests, agents
 
@@ -226,8 +220,7 @@ def _cmd_schedule(args) -> int:
         staleness_cap=cfg.solver.staleness_cap,
         diversity=cfg.solver.diversity,
     )
-    scheduler = SchedulerKind(args.scheduler) if args.scheduler else SchedulerKind.OPTIMAL
-    if scheduler is SchedulerKind.GREEDY:
+    if cfg.simulation.scheduler is SchedulerKind.GREEDY:
         schedule = schedule_greedy(instance)
     else:
         schedule, _ = solve_detailed(

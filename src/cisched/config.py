@@ -26,64 +26,37 @@ class MissingFileError(Exception):
     """The named config file does not exist."""
 
 
-DEFAULTS: dict[str, dict[str, Any]] = {
-    "priority": {
-        "w_staleness": 0.4,
-        "w_duration": 0.2,
-        "w_results": 0.4,
-        "w_static": 0.5,
-        "history_window": 5,
-        "decay": 0.5,
-        "staleness_cap": 20,
-        "shorter_is_higher": True,
-    },
-    "solver": {
-        "time_budget_ms": 2000,
-        "staleness_cap": 8,
-        "diversity": True,
-        "backend": "auto",
-        "nodes_per_ms": None,
-    },
-    "simulation": {
-        "cycles": 1,
-        "scheduler": "optimal",
-        "seed": 0,
-        "default_defect_probability": 0.05,
-        "jitter_low": 0.9,
-        "jitter_high": 1.1,
-    },
-    "workload": {
-        "test_count": 50,
-        "agent_count": 3,
-        "duration_min": 1.0,
-        "duration_max": 10.0,
-        "compatibility_density": 0.8,
-        "obligatory_fraction": 0.1,
-        "defect_min": 0.01,
-        "defect_max": 0.2,
-        "budget": 60.0,
-        "seed": 0,
-    },
-}
-
-
 @dataclass(frozen=True)
 class SolverSettings:
-    time_budget_ms: int
-    staleness_cap: int
-    diversity: bool
-    backend: str
-    nodes_per_ms: int | None
+    time_budget_ms: int = 2000
+    staleness_cap: int = 8
+    diversity: bool = True
+    backend: str = "auto"
+    nodes_per_ms: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.time_budget_ms < 1:
+            raise TypeMismatchError("solver.time_budget_ms must be >= 1")
+        if self.staleness_cap < 1:
+            raise TypeMismatchError("solver.staleness_cap must be >= 1")
+        if self.backend not in ("auto", "numba", "python"):
+            raise TypeMismatchError(
+                f"solver.backend must be auto, numba, or python, got {self.backend!r}"
+            )
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
-    cycles: int
-    scheduler: SchedulerKind
-    seed: int
-    default_defect_probability: float
-    jitter_low: float
-    jitter_high: float
+    cycles: int = 1
+    scheduler: SchedulerKind = SchedulerKind.OPTIMAL
+    seed: int = 0
+    default_defect_probability: float = 0.05
+    jitter_low: float = 0.9
+    jitter_high: float = 1.1
+
+    def __post_init__(self) -> None:
+        if self.cycles < 1:
+            raise TypeMismatchError("simulation.cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,6 +69,26 @@ class RunConfig:
     workload: WorkloadSpec
 
 
+# The built-in defaults; the config file's keys are exactly these fields.
+DEFAULTS = RunConfig(
+    PriorityWeights(),
+    SolverSettings(),
+    SimulationSettings(),
+    WorkloadSpec(
+        test_count=50,
+        agent_count=3,
+        duration_min=1.0,
+        duration_max=10.0,
+        compatibility_density=0.8,
+        obligatory_fraction=0.1,
+        defect_min=0.01,
+        defect_max=0.2,
+        budget=60.0,
+        seed=0,
+    ),
+)
+
+
 def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
     """Resolve configuration from defaults, an optional YAML file, and overrides.
 
@@ -103,7 +96,7 @@ def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = 
     or keys raise UnknownKeyError; values of the wrong type raise
     TypeMismatchError; a missing file raises MissingFileError.
     """
-    merged = {section: dict(values) for section, values in DEFAULTS.items()}
+    merged = codec.encode_fields(DEFAULTS)
 
     if path is not None:
         path = Path(path)
@@ -120,45 +113,19 @@ def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = 
             if not isinstance(values, dict):
                 raise TypeMismatchError(f"section {section!r} must be a mapping")
             for key, value in values.items():
-                _set(merged, section, key, value)
+                if key not in merged[section]:
+                    raise UnknownKeyError(f"unknown config key: {section}.{key}")
+                merged[section][key] = value
 
     for dotted, value in (overrides or {}).items():
         section, _, key = dotted.partition(".")
         if not key or section not in merged:
             raise UnknownKeyError(f"unknown config key: {dotted!r}")
-        _set(merged, section, key, value)
+        if key not in merged[section]:
+            raise UnknownKeyError(f"unknown config key: {dotted}")
+        merged[section][key] = value
 
-    return _build(merged)
-
-
-def _set(merged: dict, section: str, key: str, value: Any) -> None:
-    if key not in DEFAULTS[section]:
-        raise UnknownKeyError(f"unknown config key: {section}.{key}")
-    merged[section][key] = value
-
-
-def _section(merged: dict, section: str, cls: type) -> Any:
-    """Type-check one merged section against its settings dataclass."""
     try:
-        return codec.decode_fields(cls, merged[section])
+        return codec.decode_fields(RunConfig, merged)
     except codec.DecodeError as exc:
-        raise TypeMismatchError(f"{section}.{exc}") from None
-
-
-def _build(merged: dict) -> RunConfig:
-    weights = _section(merged, "priority", PriorityWeights)
-    weights.validate()
-    solver = _section(merged, "solver", SolverSettings)
-    if solver.time_budget_ms < 1:
-        raise TypeMismatchError("solver.time_budget_ms must be >= 1")
-    if solver.staleness_cap < 1:
-        raise TypeMismatchError("solver.staleness_cap must be >= 1")
-    if solver.backend not in ("auto", "numba", "python"):
-        raise TypeMismatchError(
-            f"solver.backend must be auto, numba, or python, got {solver.backend!r}"
-        )
-    simulation = _section(merged, "simulation", SimulationSettings)
-    if simulation.cycles < 1:
-        raise TypeMismatchError("simulation.cycles must be >= 1")
-    workload = _section(merged, "workload", WorkloadSpec)
-    return RunConfig(priority=weights, solver=solver, simulation=simulation, workload=workload)
+        raise TypeMismatchError(str(exc)) from None

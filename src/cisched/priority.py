@@ -27,6 +27,9 @@ class PriorityWeights:
     staleness_cap: int = 20
     shorter_is_higher: bool = True
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         for name in ("w_staleness", "w_duration", "w_results", "w_static"):
             if getattr(self, name) < 0:
@@ -121,7 +124,6 @@ def prioritize_all(
     current_cycle: int,
 ) -> list[PrioritizedTest]:
     """Prioritize every test, sorted by descending priority with id as tie-break."""
-    weights.validate()
     if not tests:
         return []
     d_max = max(t.avg_duration for t in tests)

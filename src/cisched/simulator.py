@@ -31,7 +31,7 @@ from cisched.execution import (
 )
 from cisched.priority import PriorityWeights, prioritize_all
 from cisched.reporting import CycleReport, make_cycle_report, save_report
-from cisched.scheduling import Schedule, build_instance, schedule_greedy
+from cisched.scheduling import build_instance, schedule_greedy
 from cisched.solver import SolveStats, solve_detailed
 
 logger = logging.getLogger(__name__)
@@ -60,7 +60,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
-        self.weights.validate()
 
 
 @dataclass
@@ -86,7 +85,6 @@ class _CycleArtifacts:
     report: CycleReport
     plans: tuple[TestPlan, ...]
     results: tuple[AgentResult, ...]
-    schedule: Schedule
     stats: SolveStats | None
     wall_ms: float
 
@@ -148,7 +146,7 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
         report.executed_count,
         report.fail_count,
     )
-    return _CycleArtifacts(report, tuple(plans), tuple(results), schedule, stats, wall_ms)
+    return _CycleArtifacts(report, tuple(plans), tuple(results), stats, wall_ms)
 
 
 def run_simulation(

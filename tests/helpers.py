@@ -114,8 +114,9 @@ def random_instance(
     current = int(rng.integers(0, 15))
     pairs = {}
     for t in tests:
-        for a in t.compatible_agents:
-            if rng.random() < 0.5:
+        # Draw in agent_ids order: a frozenset's order follows PYTHONHASHSEED.
+        for a in agent_ids:
+            if a in t.compatible_agents and rng.random() < 0.5:
                 pairs[(t.id, a)] = int(rng.integers(0, current + 1)) if current else 0
     priorities = [float(round(rng.uniform(0.0, 1.0), 3)) for _ in tests]
     entries = list(zip(tests, priorities))

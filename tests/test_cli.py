@@ -99,6 +99,36 @@ def test_schedule_writes_plans(tmp_path):
     assert payload["plans"] == len(plan_files)
 
 
+def test_schedule_honours_configured_scheduler(tmp_path):
+    # Trap shape: the top-priority test crowds out two that pack better, so
+    # first-fill and the exact schedule differ.
+    repo = write_repo(
+        tmp_path,
+        [
+            make_test("ta", duration=6.0, static=0.9),
+            make_test("tb", duration=5.0, static=0.1),
+            make_test("tc", duration=5.0, static=0.1),
+        ],
+        [make_agent("a0", budget=10.0)],
+    )
+    history = tmp_path / "history.jsonl"
+    history.write_text("", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text("simulation:\n  scheduler: greedy\n", encoding="utf-8")
+
+    def objective(*extra):
+        proc = run_cli(
+            "schedule", "--repo", str(repo), "--history", str(history),
+            "--out", str(tmp_path / "plans"), *extra,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)["objective"]
+
+    greedy = objective("--scheduler", "greedy")
+    assert greedy != objective()
+    assert objective("--config", str(config)) == greedy
+
+
 def test_simulate_generates_and_reports(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text(

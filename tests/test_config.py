@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import typing
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+import yaml
 
 from cisched import (
     MissingFileError,
@@ -11,6 +16,9 @@ from cisched import (
     UnknownKeyError,
     parse_config,
 )
+from cisched.config import RunConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text):
@@ -116,3 +124,14 @@ def test_scheduler_values(tmp_path):
     for value in ("greedy", SchedulerKind.GREEDY):
         cfg = parse_config(None, {"simulation.scheduler": value})
         assert cfg.simulation.scheduler is SchedulerKind.GREEDY
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert parse_config(write_config(tmp_path, block)) == parse_config(None)
+    documented = yaml.safe_load(block)
+    sections = typing.get_type_hints(RunConfig)
+    assert documented.keys() == sections.keys()
+    for name, keys in documented.items():
+        assert keys.keys() == {f.name for f in fields(sections[name])}, name
