@@ -179,33 +179,28 @@ class HistoryStore:
     def __init__(self, records: Iterable[ExecutionRecord] = (), current_cycle: int = 0) -> None:
         self._records: list[ExecutionRecord] = []
         self._by_test: dict[str, list[ExecutionRecord]] = {}
-        self._last_exec: dict[str, int] = {}
         self._pair_last: dict[tuple[str, str], int] = {}
-        self._seen: set[tuple[str, int]] = set()
         self.current_cycle = 0
         for r in records:
             # Replaying past records: allow cycles below current_cycle.
-            self._append(r)
+            self.add_record(r)
         if current_cycle < (self._records[-1].cycle if self._records else 0):
             raise ValueError("current_cycle must be >= the newest record's cycle")
         self.current_cycle = max(current_cycle, self.current_cycle)
 
-    def _append(self, record: ExecutionRecord) -> None:
+    def add_record(self, record: ExecutionRecord) -> None:
         if record.cycle < 0:
             raise ValueError(f"record cycle must be >= 0, got {record.cycle}")
         if self._records and record.cycle < self._records[-1].cycle:
             raise ValueError("records must be appended in non-decreasing cycle order")
-        key = (record.test_id, record.cycle)
-        if key in self._seen:
+        # Cycles never decrease, so a repeat of (test, cycle) can only be
+        # the test's newest record.
+        past = self._by_test.get(record.test_id)
+        if past and past[-1].cycle == record.cycle:
             raise DuplicateRecordError(record.test_id, record.cycle)
-        self._seen.add(key)
         self._records.append(record)
         self._by_test.setdefault(record.test_id, []).append(record)
-        self._last_exec[record.test_id] = record.cycle
         self._pair_last[(record.test_id, record.agent_id)] = record.cycle
-
-    def add_record(self, record: ExecutionRecord) -> None:
-        self._append(record)
 
     def advance_cycle(self) -> None:
         self.current_cycle += 1
@@ -222,7 +217,8 @@ class HistoryStore:
 
     def last_execution(self, test_id: str) -> int | None:
         """Cycle of the most recent execution, or None if never executed."""
-        return self._last_exec.get(test_id)
+        past = self._by_test.get(test_id)
+        return past[-1].cycle if past else None
 
     def pair_last_cycle(self) -> dict[tuple[str, str], int]:
         """Last cycle each (test, agent) pair ran, for rotation scoring."""

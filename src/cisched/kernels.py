@@ -14,7 +14,6 @@ search-only arrays from a PackedInstance, so greedy never pays for them.
 from __future__ import annotations
 
 import os
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -33,9 +32,9 @@ def _search_chunk(
     m,
     dur,  # int64[n] duration units
     prio,  # int64[n] priority units
-    stale,  # int64[n, m] pair staleness units
     oblig,  # int64[n] 1 if the test must be assigned
     child_agents,  # int64[n, >=1] agent columns per test, stalest first
+    child_stale,  # int64[n, >=1] pair staleness units of each child
     child_counts,  # int64[n]
     dens_order,  # int64[n] test indices by exact descending priority density
     suffix_stale,  # int64[n+1] sum of per-test max staleness over tests >= d
@@ -167,7 +166,7 @@ def _search_chunk(
                     assign[d] = j
                     residual[j] -= dur[d]
                     acc[0] += prio[d]
-                    acc[1] += stale[d, j]
+                    acc[1] += child_stale[d, c]
                     acc[2] += dur[d]
                 pos[d] = c + 1
                 ctl[0] = d + 1
@@ -188,7 +187,7 @@ def _search_chunk(
                 j = child_agents[d, c]
                 residual[j] += dur[d]
                 acc[0] -= prio[d]
-                acc[1] -= stale[d, j]
+                acc[1] -= child_stale[d, c]
                 acc[2] -= dur[d]
                 assign[d] = -1
     return done, nodes
@@ -231,20 +230,16 @@ def get_kernel(backend: str):
 def density_order(prio: np.ndarray, dur: np.ndarray) -> np.ndarray:
     """Test indices by descending priority per unit time, exactly.
 
-    Densities compare by bigint cross-multiplication, so float rounding can
-    never reorder them; equal densities keep index order.
+    Zero-duration tests come first. The rest sort by the integer key
+    floor(p * 2**k / t): two distinct densities differ by at least
+    1 / (t1 * t2) > 2**-k, so their keys differ too and float rounding can
+    never reorder them. Equal densities keep index order.
     """
-    p = [int(x) for x in prio]
-    t = [int(x) for x in dur]
-
-    def denser(i: int, j: int) -> int:
-        lhs = p[i] * t[j]
-        rhs = p[j] * t[i]
-        if lhs != rhs:
-            return -1 if lhs > rhs else 1
-        return -1 if i < j else 1
-
-    return np.array(sorted(range(len(p)), key=cmp_to_key(denser)), dtype=np.int64)
+    p, t = prio.tolist(), dur.tolist()
+    k = 2 * max(t, default=0).bit_length()
+    free = [i for i in range(len(t)) if t[i] == 0]
+    timed = sorted((i for i in range(len(t)) if t[i]), key=lambda i: -((p[i] << k) // t[i]))
+    return np.array(free + timed, dtype=np.int64)
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -261,21 +256,22 @@ def search_args(packed: PackedInstance, incumbent: np.ndarray) -> tuple:
     whenever it finds a better assignment.
     """
     n, m = packed.n, packed.m
-    stale = packed.stale_u
+    rank = packed.agent_rank.tolist()
     # Children per test: compatible agents ordered stalest-first so the
     # search meets diverse assignments early; skip is implicit last.
     child_agents = np.full((n, max(m, 1)), -1, dtype=np.int64)
-    child_counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        cols = [j for j in range(m) if packed.compat[i, j]]
-        cols.sort(key=lambda j: (-stale[i, j], packed.agent_rank[j]))
-        child_counts[i] = len(cols)
-        child_agents[i, : len(cols)] = cols
+    child_stale = np.zeros((n, max(m, 1)), dtype=np.int64)
+    child_counts = np.array([len(cols) for cols in packed.compat], dtype=np.int64)
+    for i, cols in enumerate(packed.compat):
+        children = sorted((-packed.stale_units(i, j), rank[j], j) for j in cols)
+        child_agents[i, : len(cols)] = [j for _, _, j in children]
+        child_stale[i, : len(cols)] = [-s for s, _, _ in children]
     dur, oblig = packed.dur_us, packed.oblig
     return (
-        n, m, dur, packed.prio_u, stale, oblig, child_agents, child_counts,
+        n, m, dur, packed.prio_u, oblig, child_agents, child_stale, child_counts,
         density_order(packed.prio_u, dur),
-        _suffix_sums(stale.max(axis=1, initial=0)), _suffix_sums(dur), _suffix_sums(dur * oblig),
+        # Column 0 holds each test's stalest child (0 with no child).
+        _suffix_sums(child_stale[:, 0]), _suffix_sums(dur), _suffix_sums(dur * oblig),
         packed.rank_to_idx, packed.agent_rank,
         # Traversal state at the root: pos, assign, residual, acc, ctl.
         np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), packed.budget_us.copy(),

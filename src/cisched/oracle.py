@@ -54,10 +54,13 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
     pows = radix ** np.arange(n, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)[None, :]
 
-    compat_ext = np.ones((n, radix), dtype=bool)
-    compat_ext[:, 1:] = packed.compat.astype(bool)
+    compat_ext = np.zeros((n, radix), dtype=bool)
+    compat_ext[:, 0] = True
     stale_ext = np.zeros((n, radix), dtype=np.int64)
-    stale_ext[:, 1:] = packed.stale_u
+    for i, agent_cols in enumerate(packed.compat):
+        for j in agent_cols:
+            compat_ext[i, j + 1] = True
+            stale_ext[i, j + 1] = packed.stale_units(i, j)
     oblig_cols = np.flatnonzero(packed.oblig)
 
     best_assign: np.ndarray | None = None

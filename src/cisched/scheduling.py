@@ -179,16 +179,17 @@ class PackedInstance:
     Tests keep the prioritized order (index == search depth), agents keep
     the instance order (index == column). Ranks are positions in the sorted
     id order and drive the deterministic tie-break on assignment pairs.
-    Arrays only the search reads are built by cisched.kernels.search_args.
+    ``compat`` lists each test's compatible agent columns in ascending
+    order, and pair staleness is computed on demand by stale_units. Arrays
+    only the search reads are built by cisched.kernels.search_args.
     """
 
     def __init__(self, instance: SchedulingInstance) -> None:
         self.instance = instance
         tests = [p.test for p in instance.prioritized]
         agents = instance.agents
-        n, m = len(tests), len(agents)
-        self.n = n
-        self.m = m
+        self.n = len(tests)
+        self.m = len(agents)
         self.test_ids = [t.id for t in tests]
         self.agent_ids = [a.id for a in agents]
 
@@ -200,31 +201,29 @@ class PackedInstance:
         self.budget_us = np.array([quantize_seconds(a.budget) for a in agents], dtype=np.int64)
 
         agent_col = {a.id: j for j, a in enumerate(agents)}
-        self.compat = np.zeros((n, m), dtype=np.uint8)
-        for i, t in enumerate(tests):
-            for a_id in t.compatible_agents:
-                j = agent_col.get(a_id)
-                if j is not None:
-                    self.compat[i, j] = 1
-
-        cap = instance.staleness_cap
-        self.stale_u = np.zeros((n, m), dtype=np.int64)
-        if instance.diversity:
-            for i, t in enumerate(tests):
-                for j, a in enumerate(agents):
-                    if self.compat[i, j]:
-                        self.stale_u[i, j] = pair_staleness_units(
-                            t.id, a.id, instance.pair_last_cycle, instance.current_cycle, cap
-                        )
+        self.compat = [
+            sorted(agent_col[a_id] for a_id in t.compatible_agents if a_id in agent_col)
+            for t in tests
+        ]
 
         # Ranks in sorted-id order; integer pair comparisons then mirror the
         # lexicographic order on (test_id, agent_id) string pairs.
         test_rank = {t_id: r for r, t_id in enumerate(sorted(self.test_ids))}
-        self.rank_to_idx = np.empty(n, dtype=np.int64)
+        self.rank_to_idx = np.empty(self.n, dtype=np.int64)
         for i, t_id in enumerate(self.test_ids):
             self.rank_to_idx[test_rank[t_id]] = i
         agent_rank = {a_id: r for r, a_id in enumerate(sorted(self.agent_ids))}
         self.agent_rank = np.array([agent_rank[a.id] for a in agents], dtype=np.int64)
+
+    def stale_units(self, i: int, j: int) -> int:
+        """Pair staleness units of test index i on agent column j; 0 without diversity."""
+        instance = self.instance
+        if not instance.diversity:
+            return 0
+        return pair_staleness_units(
+            self.test_ids[i], self.agent_ids[j], instance.pair_last_cycle,
+            instance.current_cycle, instance.staleness_cap,
+        )
 
     def objective_units(self, assign: np.ndarray) -> tuple[int, int, int]:
         """Exact objective sums for an assignment array (test index -> column or -1)."""
@@ -233,7 +232,7 @@ class PackedInstance:
             j = assign[i]
             if j >= 0:
                 prio += int(self.prio_u[i])
-                stale += int(self.stale_u[i, j])
+                stale += self.stale_units(i, j)
                 time += int(self.dur_us[i])
         return prio, stale, time
 
@@ -302,41 +301,43 @@ def pack_obligatory(packed: PackedInstance) -> np.ndarray | None:
 
     Exact depth-first search, most-constrained test first, roomiest agent
     first, pruning on pooled remaining capacity. Obligatory tests are few,
-    so the exact search is affordable.
+    so the exact search is affordable. It keeps its own stack, so the
+    number of obligatory tests is not bounded by the recursion limit.
     """
-    n, m = packed.n, packed.m
-    assign = np.full(n, -1, dtype=np.int64)
-    oblig_idx = [i for i in range(n) if packed.oblig[i]]
-    if not oblig_idx:
-        return assign
+    dur = packed.dur_us.tolist()
+    residual = packed.budget_us.tolist()
+    assign = [-1] * packed.n
     order = sorted(
-        oblig_idx,
-        key=lambda i: (int(packed.compat[i].sum()), -int(packed.dur_us[i]), i),
+        (i for i in range(packed.n) if packed.oblig[i]),
+        key=lambda i: (len(packed.compat[i]), -dur[i], i),
     )
-    dur = [int(d) for d in packed.dur_us]
-    residual = [int(b) for b in packed.budget_us]
     suffix = [0] * (len(order) + 1)
     for k in range(len(order) - 1, -1, -1):
         suffix[k] = suffix[k + 1] + dur[order[k]]
 
-    def place(k: int) -> bool:
-        if k == len(order):
-            return True
-        if suffix[k] > sum(residual):
-            return False
+    # untried[k]: the columns order[k] has yet to try, roomiest (then lowest) last.
+    untried: list[list[int]] = []
+    k = 0
+    while k < len(order):
         i = order[k]
-        cols = [j for j in range(m) if packed.compat[i, j] and dur[i] <= residual[j]]
-        cols.sort(key=lambda j: (-residual[j], j))
-        for j in cols:
-            assign[i] = j
-            residual[j] -= dur[i]
-            if place(k + 1):
-                return True
-            residual[j] += dur[i]
+        if k == len(untried):
+            short = suffix[k] > sum(residual)
+            cols = [] if short else [j for j in packed.compat[i] if dur[i] <= residual[j]]
+            untried.append(sorted(cols, key=lambda j: (residual[j], -j)))
+        else:
+            # Back from a subtree without a placement: undo this choice.
+            residual[assign[i]] += dur[i]
             assign[i] = -1
-        return False
-
-    return assign if place(0) else None
+        if untried[k]:
+            assign[i] = untried[k].pop()
+            residual[assign[i]] -= dur[i]
+            k += 1
+        elif k == 0:
+            return None
+        else:
+            untried.pop()
+            k -= 1
+    return np.array(assign, dtype=np.int64)
 
 
 def ensure_obligatory_coverage(packed: PackedInstance) -> np.ndarray:
@@ -351,10 +352,7 @@ def ensure_obligatory_coverage(packed: PackedInstance) -> np.ndarray:
     for i in range(packed.n):
         if not packed.oblig[i]:
             continue
-        fits = any(
-            packed.compat[i, j] and packed.dur_us[i] <= packed.budget_us[j]
-            for j in range(packed.m)
-        )
+        fits = any(packed.dur_us[i] <= packed.budget_us[j] for j in packed.compat[i])
         if not fits:
             unplaceable.append(packed.test_ids[i])
     if unplaceable:
@@ -369,17 +367,19 @@ def greedy_assignment(
     packed: PackedInstance,
     initial_assign: np.ndarray | None = None,
 ) -> np.ndarray:
-    """First-fill on packed arrays, optionally completing a partial assignment."""
-    n, m = packed.n, packed.m
-    assign = np.full(n, -1, dtype=np.int64) if initial_assign is None else initial_assign.copy()
-    residual = packed.budget_us.copy()
-    for i in range(n):
-        j = assign[i]
-        if j >= 0:
-            residual[j] -= packed.dur_us[i]
-    for j in range(m):
-        for i in range(n):
-            if assign[i] < 0 and packed.compat[i, j] and packed.dur_us[i] <= residual[j]:
+    """Agent-major first-fill on packed arrays, optionally completing a partial assignment."""
+    assign = [-1] * packed.n if initial_assign is None else initial_assign.tolist()
+    dur = packed.dur_us.tolist()
+    residual = packed.budget_us.tolist()
+    takers: list[list[int]] = [[] for _ in range(packed.m)]
+    for i, cols in enumerate(packed.compat):
+        if assign[i] >= 0:
+            residual[assign[i]] -= dur[i]
+        for j in cols:
+            takers[j].append(i)
+    for j, tests in enumerate(takers):
+        for i in tests:
+            if assign[i] < 0 and dur[i] <= residual[j]:
                 assign[i] = j
-                residual[j] -= packed.dur_us[i]
-    return assign
+                residual[j] -= dur[i]
+    return np.array(assign, dtype=np.int64)

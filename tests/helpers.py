@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from cisched import (
@@ -11,6 +14,15 @@ from cisched import (
     TestCase,
     build_instance,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """Environment for a child Python process that imports cisched from this checkout."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 def make_test(

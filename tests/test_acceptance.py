@@ -54,6 +54,7 @@ from helpers import (
     make_test,
     objective_tuple,
     random_instance,
+    src_env,
     trap_instance,
 )
 
@@ -269,6 +270,7 @@ def test_criterion_6_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=src_env(),
                 timeout=300,
             )
             assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -11,11 +10,11 @@ import pytest
 
 from cisched import save_repository
 
-from helpers import make_agent, make_test
+from helpers import make_agent, make_test, src_env
 
 # The pure-Python backend skips the JIT import and is exact, just slower;
 # plenty for the tiny repositories these tests use.
-FAST_ENV = {**os.environ, "CISCHED_NO_NUMBA": "1"}
+FAST_ENV = src_env(CISCHED_NO_NUMBA="1")
 
 
 def run_cli(*args, env=None):

@@ -125,6 +125,13 @@ def test_history_store_rejects_duplicates_and_regressions():
         store.add_record(record("t2", "a0", 0))
     with pytest.raises(ValueError):
         HistoryStore([record(cycle=-1)])
+    # A repeat that is not the newest record overall is still caught, and
+    # leaves the store as it was.
+    store = HistoryStore([record("t0", "a0", 0), record("t1", "a1", 0)])
+    with pytest.raises(DuplicateRecordError):
+        store.add_record(record("t0", "a1", 0))
+    assert len(store) == 2
+    assert store.pair_last_cycle() == {("t0", "a0"): 0, ("t1", "a1"): 0}
 
 
 def test_history_store_current_cycle_floor():

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import src_env
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -33,15 +34,12 @@ print(digest.hexdigest())
 
 
 def random_instance_digest(hash_seed: str) -> str:
-    src = str(TESTS_DIR.parent / "src")
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
     proc = subprocess.run(
         [sys.executable, "-c", DIGEST_SCRIPT],
         capture_output=True,
         text=True,
         cwd=TESTS_DIR,
-        env=env,
+        env=src_env(PYTHONHASHSEED=hash_seed),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,9 @@ from cisched.kernels import (
     search_args,
     warmup,
 )
-from cisched.scheduling import PackedInstance, greedy_assignment
+from cisched.scheduling import PackedInstance, greedy_assignment, pair_staleness_units
 
-from helpers import random_instance
+from helpers import random_instance, src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
@@ -56,7 +56,7 @@ def test_env_flag_disables_numba():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "CISCHED_NO_NUMBA": "1"},
+        env=src_env(CISCHED_NO_NUMBA="1"),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -66,7 +66,7 @@ def test_env_flag_disables_numba():
         [sys.executable, "-c", "from cisched import kernels; kernels.resolve_backend('numba')"],
         capture_output=True,
         text=True,
-        env={**os.environ, "CISCHED_NO_NUMBA": "1"},
+        env=src_env(CISCHED_NO_NUMBA="1"),
         timeout=120,
     )
     assert proc.returncode != 0
@@ -97,16 +97,43 @@ def test_chunked_search_resumes_exactly(seed):
             assert np.array_equal(got, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diversity=st.booleans())
+def test_search_args_children_follow_compatibility_and_staleness(seed, diversity):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    instance = replace(random_instance(rng), diversity=diversity)
+    packed = PackedInstance(instance)
+    args = search_args(packed, greedy_assignment(packed))
+    n, child_agents, child_stale, child_counts, suffix_stale = (args[i] for i in (0, 5, 6, 7, 9))
+    agent_rank = {a: r for r, a in enumerate(sorted(packed.agent_ids))}
+    maxima = []
+    for i, p in enumerate(instance.prioritized):
+        count = child_counts[i]
+        agents = [packed.agent_ids[j] for j in child_agents[i, :count]]
+        assert sorted(agents) == sorted(p.test.compatible_agents & set(packed.agent_ids))
+        stale = [
+            pair_staleness_units(
+                p.test.id, a, instance.pair_last_cycle, instance.current_cycle,
+                instance.staleness_cap,
+            ) if diversity else 0
+            for a in agents
+        ]
+        assert child_stale[i, :count].tolist() == stale
+        keys = [(-s, agent_rank[a]) for s, a in zip(stale, agents)]
+        assert keys == sorted(keys)
+        maxima.append(max(stale, default=0))
+    assert suffix_stale.tolist() == [sum(maxima[d:]) for d in range(n + 1)]
+
+
 def test_bench_backends_runs():
     # The calibration tool the README points to must keep running.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     script = str(ROOT / "benchmarks" / "bench_backends.py")
     args = ["--tests", "30", "--agents", "3", "--repeats", "1", "--target-ms", "20"]
     proc = subprocess.run(
         [sys.executable, script, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from cisched import (
     check_schedule,
     pair_staleness,
     schedule_greedy,
+    solve_detailed,
 )
 from cisched.kernels import density_order
 from cisched.scheduling import (
@@ -276,6 +277,24 @@ def test_ensure_obligatory_coverage_reports_all_ids_on_joint_conflict():
     assert err.value.test_ids == ("t1", "t2")
 
 
+def test_obligatory_packing_is_not_bounded_by_the_recursion_limit():
+    # Fillers outrank 1,200 obligatory tests, so first-fill drops 400 of
+    # them and the solver reseeds from a packing deeper than Python's
+    # default recursion limit.
+    agents = [make_agent(f"a{j}", budget=400.0) for j in range(4)]
+    agent_ids = tuple(a.id for a in agents)
+    entries = [
+        (make_test(f"o{i:04d}", duration=1.0, agents=agent_ids, obligatory=True), 0.0)
+        for i in range(1200)
+    ] + [(make_test(f"f{i:04d}", duration=1.0, agents=agent_ids), 1.0) for i in range(800)]
+    instance = make_instance(entries, agents)
+    packed = PackedInstance(instance)
+    assign = ensure_obligatory_coverage(packed)
+    assert sum(1 for i in range(packed.n) if packed.oblig[i] and assign[i] >= 0) == 1200
+    schedule, _ = solve_detailed(instance, backend="python", node_budget=1)
+    assert {f"o{i:04d}" for i in range(1200)} <= schedule.assigned_tests()
+
+
 def test_ensure_obligatory_coverage_passes_tight_fits():
     t0 = make_test("t0", duration=5.0, obligatory=True)
     t1 = make_test("t1", duration=5.0, obligatory=True)
@@ -310,6 +329,12 @@ def test_greedy_schedules_are_always_valid(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_density_order_is_exact_on_ties(seed):
     # Cross-multiplied integer densities: equal ratios keep index order.
+    # Test 1 is denser than test 0 by less than one float64 ulp, and the
+    # zero-duration test 2 sorts first.
+    prio = np.array([10**17, 2 * 10**17 + 1, 1], dtype=np.int64)
+    dur = np.array([10**17, 2 * 10**17, 0], dtype=np.int64)
+    assert prio[0] / dur[0] == prio[1] / dur[1]
+    assert density_order(prio, dur).tolist() == [2, 1, 0]
     rng = np.random.Generator(np.random.PCG64(seed))
     instance = random_instance(rng, min_tests=2)
     packed = PackedInstance(instance)
