@@ -26,7 +26,6 @@ from cisched.domain import (
     validate_repository,
 )
 from cisched.execution import OutcomeModel, emit_test_plans, load_plan, plan_path, save_plan
-from cisched.oracle import InstanceTooLargeError
 from cisched.priority import prioritize_all
 from cisched.reporting import (
     EmptyCampaignError,
@@ -57,8 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc.__cause__, InfeasibleError):
             extra["test_ids"] = list(exc.__cause__.test_ids)
         return _fail("cycle_failed", str(exc), **extra)
-    except InstanceTooLargeError as exc:
-        return _fail("instance_too_large", str(exc))
     except UnknownKeyError as exc:
         return _fail("unknown_key", str(exc))
     except TypeMismatchError as exc:

@@ -5,7 +5,9 @@ adds the ``format_version`` stamp that every artifact carries. Decoding
 checks each value against the field's type hint and rejects unknown,
 missing and wrongly typed fields instead of coercing: a bool is not an
 int, an int is accepted for a float, and only a list decodes to a
-frozenset or tuple. Fields with a default may be omitted.
+frozenset or tuple. Fields with a default may be omitted. A ValueError
+from the class's own range checks becomes a DecodeError as well, so the
+field holding the object names where it failed.
 
 Each class's field table is built once, so a value costs one exact type
 check plus a converter only for enums, containers and nested dataclasses.
@@ -135,7 +137,11 @@ def _class_codec(cls: type) -> tuple[Callable, Callable]:
             raise
         if found != len(data):
             raise DecodeError(f"unknown fields {sorted(data.keys() - allowed)}")
-        return cls(*args)
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            # A range check in the class: the enclosing field names where.
+            raise DecodeError(str(exc)) from exc
 
     def encode_object(obj: Any) -> dict:
         out = {}

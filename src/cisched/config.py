@@ -18,8 +18,8 @@ class UnknownKeyError(Exception):
     """A config key nobody defines, most likely a typo."""
 
 
-class TypeMismatchError(Exception):
-    """A config value of the wrong type."""
+class TypeMismatchError(ValueError):
+    """A config value of the wrong type or out of range."""
 
 
 class MissingFileError(Exception):
@@ -36,13 +36,11 @@ class SolverSettings:
 
     def __post_init__(self) -> None:
         if self.time_budget_ms < 1:
-            raise TypeMismatchError("solver.time_budget_ms must be >= 1")
+            raise ValueError("time_budget_ms must be >= 1")
         if self.staleness_cap < 1:
-            raise TypeMismatchError("solver.staleness_cap must be >= 1")
+            raise ValueError("staleness_cap must be >= 1")
         if self.backend not in ("auto", "numba", "python"):
-            raise TypeMismatchError(
-                f"solver.backend must be auto, numba, or python, got {self.backend!r}"
-            )
+            raise ValueError(f"backend must be auto, numba, or python, got {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class SimulationSettings:
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
-            raise TypeMismatchError("simulation.cycles must be >= 1")
+            raise ValueError("cycles must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,9 @@ def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = 
     """Resolve configuration from defaults, an optional YAML file, and overrides.
 
     Override keys are dotted, e.g. "solver.time_budget_ms". Unknown sections
-    or keys raise UnknownKeyError; values of the wrong type raise
-    TypeMismatchError; a missing file raises MissingFileError.
+    or keys raise UnknownKeyError; values of the wrong type or out of range
+    raise TypeMismatchError, naming the section and key; a missing file
+    raises MissingFileError.
     """
     merged = codec.encode_fields(DEFAULTS)
 

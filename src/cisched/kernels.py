@@ -75,35 +75,25 @@ def _search_chunk(
             elif acc[2] != inc_acc[2]:
                 better = acc[2] > inc_acc[2]
             else:
-                # Lexicographic compare of sorted (test_rank, agent_rank)
-                # pair lists; a strict prefix sorts before its extension.
-                ra = 0
-                rb = 0
-                decided = False
-                while not decided:
-                    while ra < n and assign[rank_to_idx[ra]] < 0:
-                        ra += 1
-                    while rb < n and inc_assign[rank_to_idx[rb]] < 0:
-                        rb += 1
-                    if ra == n and rb == n:
-                        decided = True
-                    elif ra == n:
-                        better = True
-                        decided = True
-                    elif rb == n:
-                        decided = True
-                    elif ra != rb:
-                        better = ra < rb
-                        decided = True
-                    else:
-                        ja = assign[rank_to_idx[ra]]
-                        jb = inc_assign[rank_to_idx[rb]]
-                        if agent_rank[ja] != agent_rank[jb]:
+                # The sorted (test_rank, agent_rank) pair lists agree up to
+                # the first test rank where the assignments differ.
+                for r in range(n):
+                    ja = assign[rank_to_idx[r]]
+                    jb = inc_assign[rank_to_idx[r]]
+                    if ja != jb:
+                        if ja >= 0 and jb >= 0:
                             better = agent_rank[ja] < agent_rank[jb]
-                            decided = True
                         else:
-                            ra += 1
-                            rb += 1
+                            # The side that skips this test is smaller only
+                            # as a strict prefix: it places no later test.
+                            rest = assign if ja < 0 else inc_assign
+                            later = False
+                            for k in range(r + 1, n):
+                                if rest[rank_to_idx[k]] >= 0:
+                                    later = True
+                                    break
+                            better = later != (ja < 0)
+                        break
             if better:
                 for i in range(n):
                     inc_assign[i] = assign[i]
@@ -256,7 +246,11 @@ def search_args(packed: PackedInstance, incumbent: np.ndarray) -> tuple:
     whenever it finds a better assignment.
     """
     n, m = packed.n, packed.m
-    rank = packed.agent_rank.tolist()
+    # Ranks in sorted-id order, so integer pair comparisons mirror the
+    # tie-break on sorted (test id, agent id) string pairs.
+    rank_to_idx = sorted(range(n), key=packed.test_ids.__getitem__)
+    by_id = {a_id: r for r, a_id in enumerate(sorted(packed.agent_ids))}
+    rank = [by_id[a_id] for a_id in packed.agent_ids]
     # Children per test: compatible agents ordered stalest-first so the
     # search meets diverse assignments early; skip is implicit last.
     child_agents = np.full((n, max(m, 1)), -1, dtype=np.int64)
@@ -272,7 +266,7 @@ def search_args(packed: PackedInstance, incumbent: np.ndarray) -> tuple:
         density_order(packed.prio_u, dur),
         # Column 0 holds each test's stalest child (0 with no child).
         _suffix_sums(child_stale[:, 0]), _suffix_sums(dur), _suffix_sums(dur * oblig),
-        packed.rank_to_idx, packed.agent_rank,
+        np.array(rank_to_idx, dtype=np.int64), np.array(rank, dtype=np.int64),
         # Traversal state at the root: pos, assign, residual, acc, ctl.
         np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), packed.budget_us.copy(),
         np.zeros(3, dtype=np.int64), np.zeros(1, dtype=np.int64),

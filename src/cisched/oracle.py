@@ -63,6 +63,11 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
             stale_ext[i, j + 1] = packed.stale_units(i, j)
     oblig_cols = np.flatnonzero(packed.oblig)
 
+    def pair_key(assign: np.ndarray) -> list[tuple[str, str]]:
+        return sorted(
+            (packed.test_ids[i], packed.agent_ids[j]) for i, j in enumerate(assign) if j >= 0
+        )
+
     best_assign: np.ndarray | None = None
     best_vec: tuple[int, int, int] | None = None
     best_key = None
@@ -95,9 +100,9 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
             assign = np.where(row > 0, row - 1, -1).astype(np.int64)
             vec = packed.objective_units(assign)
             if best_vec is None or vec > best_vec:
-                best_assign, best_vec, best_key = assign, vec, packed.pair_key(assign)
+                best_assign, best_vec, best_key = assign, vec, pair_key(assign)
             elif vec == best_vec:
-                key = packed.pair_key(assign)
+                key = pair_key(assign)
                 if key < best_key:
                     best_assign, best_key = assign, key
 

@@ -177,11 +177,11 @@ class PackedInstance:
     """Integer-array form of a SchedulingInstance shared by all schedulers.
 
     Tests keep the prioritized order (index == search depth), agents keep
-    the instance order (index == column). Ranks are positions in the sorted
-    id order and drive the deterministic tie-break on assignment pairs.
-    ``compat`` lists each test's compatible agent columns in ascending
-    order, and pair staleness is computed on demand by stale_units. Arrays
-    only the search reads are built by cisched.kernels.search_args.
+    the instance order (index == column). ``compat`` lists each test's
+    compatible agent columns in ascending order, and pair staleness is
+    computed on demand by stale_units. Arrays only the search reads,
+    including the id ranks of its tie-break, are built by
+    cisched.kernels.search_args.
     """
 
     def __init__(self, instance: SchedulingInstance) -> None:
@@ -205,15 +205,6 @@ class PackedInstance:
             sorted(agent_col[a_id] for a_id in t.compatible_agents if a_id in agent_col)
             for t in tests
         ]
-
-        # Ranks in sorted-id order; integer pair comparisons then mirror the
-        # lexicographic order on (test_id, agent_id) string pairs.
-        test_rank = {t_id: r for r, t_id in enumerate(sorted(self.test_ids))}
-        self.rank_to_idx = np.empty(self.n, dtype=np.int64)
-        for i, t_id in enumerate(self.test_ids):
-            self.rank_to_idx[test_rank[t_id]] = i
-        agent_rank = {a_id: r for r, a_id in enumerate(sorted(self.agent_ids))}
-        self.agent_rank = np.array([agent_rank[a.id] for a in agents], dtype=np.int64)
 
     def stale_units(self, i: int, j: int) -> int:
         """Pair staleness units of test index i on agent column j; 0 without diversity."""
@@ -247,16 +238,6 @@ class PackedInstance:
             assignments={a_id: tuple(tests) for a_id, tests in assignments.items()},
             objective=ObjectiveVector.from_units(*units, self.instance.staleness_cap),
         )
-
-    def pair_key(self, assign: np.ndarray) -> tuple[tuple[int, int], ...]:
-        """Sorted (test_rank, agent_rank) pairs; the deterministic tie-break key."""
-        pairs = []
-        for r in range(self.n):
-            i = self.rank_to_idx[r]
-            j = assign[i]
-            if j >= 0:
-                pairs.append((r, int(self.agent_rank[j])))
-        return tuple(pairs)
 
 
 def check_schedule(schedule: Schedule, instance: SchedulingInstance) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,3 +141,33 @@ def random_instance(
 def objective_tuple(schedule) -> tuple[float, float, float]:
     obj = schedule.objective
     return (obj.total_priority, obj.diversity, obj.used_time)
+
+
+def zero_tie_instance(rng: np.random.Generator, max_tests: int = 8) -> SchedulingInstance:
+    """Small random instance in which some tests are worth nothing.
+
+    Such a test takes 0 µs once quantized, has priority 0 and, with
+    diversity on, ran on every compatible agent this cycle, so its pair
+    staleness is 0 too. Placing or skipping it leaves the objective
+    unchanged, and only the pair-list tie-break tells the schedules apart,
+    including the case where one list is a strict prefix of the other.
+    """
+    base = random_instance(rng, max_tests=max_tests, max_obligatory=1, min_tests=1)
+    zero = rng.random(len(base.prioritized)) < 0.4
+    entries = []
+    pairs = dict(base.pair_last_cycle)
+    for p, worthless in zip(base.prioritized, zero):
+        if worthless:
+            test = replace(p.test, avg_duration=1e-7)
+            entries.append((test, 0.0))
+            for a_id in test.compatible_agents:
+                pairs[(test.id, a_id)] = base.current_cycle
+        else:
+            entries.append((p.test, p.priority))
+    return make_instance(
+        entries,
+        base.agents,
+        pairs,
+        cycle=base.current_cycle,
+        diversity=bool(rng.random() < 0.5),
+    )

@@ -223,6 +223,20 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert payload["error"] == "unknown_key"
     assert "tiem_budget_ms" in payload["message"]
 
+    # An out-of-range value in any section names the section and the key.
+    for section, key, value in [
+        ("priority", "decay", 2.0),
+        ("solver", "staleness_cap", 0),
+        ("simulation", "cycles", 0),
+        ("workload", "test_count", -1),
+    ]:
+        config.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
+        proc = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "type_mismatch"
+        assert payload["message"].startswith(f"{section}: {key} must be")
+
 
 def test_missing_config_file_exits_1(tmp_path):
     proc = run_cli(

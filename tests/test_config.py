@@ -117,6 +117,16 @@ def test_semantic_validation(tmp_path):
         parse_config(None, {"priority.decay": 1.5})
     with pytest.raises(ValueError):
         parse_config(None, {"workload.budget": -3.0})
+    # Every section reports a range error the same way, naming section and key.
+    for dotted, value in [
+        ("priority.decay", 2.0),
+        ("solver.staleness_cap", 0),
+        ("simulation.cycles", 0),
+        ("workload.test_count", -1),
+    ]:
+        section, _, key = dotted.partition(".")
+        with pytest.raises(TypeMismatchError, match=rf"^{section}: {key} must be"):
+            parse_config(None, {dotted: value})
 
 
 def test_scheduler_values(tmp_path):

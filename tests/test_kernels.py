@@ -21,7 +21,7 @@ from cisched.kernels import (
 )
 from cisched.scheduling import PackedInstance, greedy_assignment, pair_staleness_units
 
-from helpers import random_instance, src_env
+from helpers import make_agent, make_instance, make_test, random_instance, src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
@@ -123,6 +123,30 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
         assert keys == sorted(keys)
         maxima.append(max(stale, default=0))
     assert suffix_stale.tolist() == [sum(maxima[d:]) for d in range(n + 1)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "tb_obligatory, seed, budget, want",
+    [
+        # {tb} places tb after the skipped ta, so {ta, tb} sorts first.
+        (True, [-1, 0], 100, [0, 0]),
+        # The empty list is a prefix of {ta, tb}, the first leaf (3 nodes).
+        (False, [-1, -1], 3, [-1, -1]),
+    ],
+    ids=["later-pair", "prefix"],
+)
+def test_tie_break_when_the_incumbent_skips(backend, tb_obligatory, seed, budget, want):
+    # Two worthless tests (0 µs, priority 0, no diversity) tie on every
+    # objective, so the sorted (test id, agent id) pair list decides.
+    tests = [
+        (make_test("ta", duration=1e-7), 0.0),
+        (make_test("tb", duration=1e-7, obligatory=tb_obligatory), 0.0),
+    ]
+    packed = PackedInstance(make_instance(tests, [make_agent("a0")], diversity=False))
+    incumbent = np.array(seed, dtype=np.int64)
+    get_kernel(backend)(*search_args(packed, incumbent), np.int64(budget))
+    assert incumbent.tolist() == want
 
 
 def test_bench_backends_runs():
