@@ -250,14 +250,12 @@ def _cmd_simulate(args) -> int:
         return 2
     cfg = parse_config(args.config, _overrides(args))
     sim = cfg.simulation
-    history = None
     defect_probabilities = {}
     if args.repo:
         loaded = _load_valid_repository(args.repo)
         if loaded is None:
             return 1
         tests, agents = loaded
-        history = load_history(args.history) if args.history else HistoryStore()
     else:
         spec = load_workload(args.workload) if args.workload else cfg.workload
         if args.seed is not None:
@@ -284,7 +282,7 @@ def _cmd_simulate(args) -> int:
         backend=cfg.solver.backend,
         nodes_per_ms=cfg.solver.nodes_per_ms,
     )
-    reports = run_simulation(sim_config, tests, agents, history)
+    reports = run_simulation(sim_config, tests, agents, args.history)
     _emit(codec.encode(campaign_summary(reports)))
     return 0
 

@@ -169,56 +169,51 @@ class DuplicateRecordError(Exception):
 
 
 class HistoryStore:
-    """Append-only store of execution records, indexed for priority queries.
+    """Execution history reduced to what prioritization reads.
 
-    Records are ordered by non-decreasing cycle and each test appears at
-    most once per cycle. Mutation is single-writer; readers may share the
-    store freely between mutations.
+    Per test: the last cycle it ran and its fail flags, oldest first; per
+    (test, agent) pair: the last cycle it ran. Records arrive in
+    non-decreasing cycle order, each test at most once per cycle. Mutation
+    is single-writer; readers may share the store freely between mutations.
     """
 
     def __init__(self, records: Iterable[ExecutionRecord] = (), current_cycle: int = 0) -> None:
-        self._records: list[ExecutionRecord] = []
-        self._by_test: dict[str, list[ExecutionRecord]] = {}
+        self._last: dict[str, int] = {}
+        self._fails: dict[str, list[bool]] = {}
         self._pair_last: dict[tuple[str, str], int] = {}
+        self._newest = 0
         self.current_cycle = 0
         for r in records:
             # Replaying past records: allow cycles below current_cycle.
             self.add_record(r)
-        if current_cycle < (self._records[-1].cycle if self._records else 0):
+        if current_cycle < self._newest:
             raise ValueError("current_cycle must be >= the newest record's cycle")
         self.current_cycle = max(current_cycle, self.current_cycle)
 
     def add_record(self, record: ExecutionRecord) -> None:
         if record.cycle < 0:
             raise ValueError(f"record cycle must be >= 0, got {record.cycle}")
-        if self._records and record.cycle < self._records[-1].cycle:
+        if record.cycle < self._newest:
             raise ValueError("records must be appended in non-decreasing cycle order")
         # Cycles never decrease, so a repeat of (test, cycle) can only be
         # the test's newest record.
-        past = self._by_test.get(record.test_id)
-        if past and past[-1].cycle == record.cycle:
+        if self._last.get(record.test_id) == record.cycle:
             raise DuplicateRecordError(record.test_id, record.cycle)
-        self._records.append(record)
-        self._by_test.setdefault(record.test_id, []).append(record)
+        self._newest = record.cycle
+        self._last[record.test_id] = record.cycle
+        self._fails.setdefault(record.test_id, []).append(record.outcome is Outcome.FAIL)
         self._pair_last[(record.test_id, record.agent_id)] = record.cycle
 
     def advance_cycle(self) -> None:
         self.current_cycle += 1
 
-    @property
-    def records(self) -> tuple[ExecutionRecord, ...]:
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def records_for(self, test_id: str) -> list[ExecutionRecord]:
-        return list(self._by_test.get(test_id, ()))
+    def recent_fails(self, test_id: str, k: int) -> list[bool]:
+        """Fail flags of the test's newest k results, newest first."""
+        return self._fails.get(test_id, [])[:-k - 1:-1]
 
     def last_execution(self, test_id: str) -> int | None:
         """Cycle of the most recent execution, or None if never executed."""
-        past = self._by_test.get(test_id)
-        return past[-1].cycle if past else None
+        return self._last.get(test_id)
 
     def pair_last_cycle(self) -> dict[tuple[str, str], int]:
         """Last cycle each (test, agent) pair ran, for rotation scoring."""

@@ -13,7 +13,9 @@ search-only arrays from a PackedInstance, so greedy never pays for them.
 
 from __future__ import annotations
 
+import inspect
 import os
+from collections import namedtuple
 
 import numpy as np
 
@@ -239,7 +241,10 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def search_args(packed: PackedInstance, incumbent: np.ndarray) -> tuple:
+SearchArgs = namedtuple("SearchArgs", list(inspect.signature(_search_chunk).parameters)[:-1])
+
+
+def search_args(packed: PackedInstance, incumbent: np.ndarray) -> SearchArgs:
     """Every kernel argument except node_budget, in signature order.
 
     ``incumbent`` is passed itself: the kernel overwrites it in place
@@ -261,7 +266,7 @@ def search_args(packed: PackedInstance, incumbent: np.ndarray) -> tuple:
         child_agents[i, : len(cols)] = [j for _, _, j in children]
         child_stale[i, : len(cols)] = [-s for s, _, _ in children]
     dur, oblig = packed.dur_us, packed.oblig
-    return (
+    return SearchArgs(
         n, m, dur, packed.prio_u, oblig, child_agents, child_stale, child_counts,
         density_order(packed.prio_u, dur),
         # Column 0 holds each test's stalest child (0 with no child).

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from cisched.domain import HistoryStore, Outcome, TestCase
+from cisched.domain import HistoryStore, TestCase
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,12 @@ def fail_score(test_id: str, history: HistoryStore, window: int, decay: float) -
         raise ValueError("window must be >= 1")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must be in (0, 1)")
-    records = history.records_for(test_id)
+    fails = history.recent_fails(test_id, window)
     numerator = 0.0
     denominator = 0.0
     for j in range(window):
         denominator += decay**j
-        idx = len(records) - 1 - j
-        if idx >= 0 and records[idx].outcome is Outcome.FAIL:
+        if j < len(fails) and fails[j]:
             numerator += decay**j
     return numerator / denominator
 

@@ -16,6 +16,7 @@ from cisched.domain import (
     TestCase,
     append_history,
     filter_eligible,
+    load_history,
 )
 from cisched.execution import (
     AgentResult,
@@ -153,7 +154,7 @@ def run_simulation(
     config: SimulationConfig,
     tests: Sequence[TestCase],
     agents: Sequence[TestAgent],
-    history: HistoryStore | None = None,
+    history_path: str | Path | None = None,
 ) -> list[CycleReport]:
     """Run config.cycles cycles, persisting artifacts as they are produced.
 
@@ -162,29 +163,29 @@ def run_simulation(
     starts, so partial runs are inspectable and a failed cycle leaves the
     persisted history exactly as it was. Solver timings go to a separate
     timings.jsonl: they vary run to run, while everything else is
-    byte-stable for fixed seeds.
+    byte-stable for fixed seeds. A run that continues the log at
+    ``history_path`` starts history.jsonl with that log's completed cycles.
     """
     state = SimulationState(
         tests=list(tests),
         agents=list(agents),
-        history=history if history is not None else HistoryStore(),
+        history=load_history(history_path) if history_path else HistoryStore(),
         config=config,
     )
     out = Path(config.out_dir) if config.out_dir else None
-    history_path = None
+    log_path = None
     timings_path = None
     if out is not None:
+        # The input log through its last cycle marker, read before the output
+        # log is truncated: out_dir may hold the input log.
+        prior = Path(history_path).read_text(encoding="utf-8").split("\n") if history_path else []
+        while prior and (not prior[-1].strip() or json.loads(prior[-1])["type"] != "cycle"):
+            prior.pop()
         out.mkdir(parents=True, exist_ok=True)
-        history_path = out / "history.jsonl"
+        log_path = out / "history.jsonl"
         timings_path = out / "timings.jsonl"
-        history_path.write_text("", encoding="utf-8")
+        log_path.write_text("".join(line + "\n" for line in prior), encoding="utf-8")
         timings_path.write_text("", encoding="utf-8")
-        # Replay pre-existing history so the output log stands alone.
-        by_cycle: dict[int, list] = {}
-        for record in state.history.records:
-            by_cycle.setdefault(record.cycle, []).append(record)
-        for cycle in range(state.history.current_cycle):
-            append_history(history_path, by_cycle.get(cycle, []), cycle)
 
     reports: list[CycleReport] = []
     for _ in range(config.cycles):
@@ -203,7 +204,7 @@ def run_simulation(
             records = []
             for result in sorted(artifacts.results, key=lambda r: r.agent_id):
                 records.extend(result.records)
-            append_history(history_path, records, cycle)
+            append_history(log_path, records, cycle)
             timing = {
                 "cycle": cycle,
                 "solver_wall_time_ms": artifacts.wall_ms,

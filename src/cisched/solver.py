@@ -19,7 +19,7 @@ from cisched.scheduling import (
 
 # Nominal nodes per kernel call, expressed in milliseconds of calibrated
 # throughput; small enough to keep the wall-clock check responsive.
-CHUNK_MS = 10
+CHUNK_MS = 1
 # The wall-clock deadline is a safety net against a badly calibrated node
 # budget, generous so ordinary runs are bounded by the node budget alone
 # and stay deterministic.

@@ -176,6 +176,54 @@ def test_simulate_on_repository(tmp_path):
     assert (out / "cycle_0" / "report.json").exists()
 
 
+def test_simulate_continues_a_campaign(tmp_path):
+    # Three cycles, then three more from the first run's log, must write
+    # what six cycles in one run write.
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "workload:\n  test_count: 12\n  agent_count: 2\n  budget: 10.0\n"
+        "simulation:\n  default_defect_probability: 0.3\n",
+        encoding="utf-8",
+    )
+    gen = tmp_path / "gen"
+    proc = run_cli("generate-workload", "--config", str(config), "--out", str(gen), "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+
+    def simulate(out, cycles, *extra):
+        proc = run_cli(
+            "simulate", "--config", str(config), "--repo", str(gen / "repository.json"),
+            "--out", str(out), "--cycles", str(cycles), *extra,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return (out / "history.jsonl").read_bytes()
+
+    def cycle_files(*dirs):
+        return {p.relative_to(d): p.read_bytes() for d in dirs for p in d.glob("cycle_*/*")}
+
+    whole = tmp_path / "whole"
+    log = simulate(whole, 6)
+
+    # Into a new directory, from a log without its final newline.
+    first, second = tmp_path / "first", tmp_path / "second"
+    simulate(first, 3)
+    stripped = tmp_path / "stripped.jsonl"
+    stripped.write_bytes((first / "history.jsonl").read_bytes().rstrip(b"\n"))
+    assert simulate(second, 3, "--history", str(stripped)) == log
+    assert cycle_files(first, second) == cycle_files(whole)
+
+    # Into the directory that holds the log, which ends in an interrupted cycle.
+    same = tmp_path / "same"
+    simulate(same, 3)
+    interrupted = {
+        "type": "record", "test_id": "t0", "agent_id": "a0", "cycle": 3,
+        "outcome": "fail", "actual_duration": 1.0,
+    }
+    with open(same / "history.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(interrupted) + "\n")
+    assert simulate(same, 3, "--history", str(same / "history.jsonl")) == log
+    assert cycle_files(same) == cycle_files(whole)
+
+
 def test_simulate_history_requires_repo(tmp_path):
     proc = run_cli(
         "simulate",

@@ -94,16 +94,27 @@ def test_filter_eligible_is_idempotent_and_order_preserving():
     assert [t.id for t in once[0]] == [t.id for t in tests]
 
 
+def readers(store, test_ids):
+    """Everything a HistoryStore answers about the given tests."""
+    return (
+        store.current_cycle,
+        store.pair_last_cycle(),
+        {t: (store.last_execution(t), store.recent_fails(t, 1000)) for t in test_ids},
+    )
+
+
 def test_history_store_indexes_records():
     store = HistoryStore()
     store.add_record(record("t0", "a0", 0))
     store.add_record(record("t1", "a1", 0, Outcome.FAIL))
     store.advance_cycle()
-    store.add_record(record("t0", "a1", 1))
+    store.add_record(record("t0", "a1", 1, Outcome.FAIL))
     store.advance_cycle()
-    assert len(store) == 3
     assert store.current_cycle == 2
-    assert [r.cycle for r in store.records_for("t0")] == [0, 1]
+    assert store.recent_fails("t0", 5) == [True, False]
+    assert store.recent_fails("t0", 1) == [True]
+    assert store.recent_fails("t1", 5) == [True]
+    assert store.recent_fails("missing", 5) == []
     assert store.last_execution("t0") == 1
     assert store.last_execution("t1") == 0
     assert store.last_execution("missing") is None
@@ -128,9 +139,10 @@ def test_history_store_rejects_duplicates_and_regressions():
     # A repeat that is not the newest record overall is still caught, and
     # leaves the store as it was.
     store = HistoryStore([record("t0", "a0", 0), record("t1", "a1", 0)])
+    before = readers(store, ["t0", "t1"])
     with pytest.raises(DuplicateRecordError):
-        store.add_record(record("t0", "a1", 0))
-    assert len(store) == 2
+        store.add_record(record("t0", "a1", 0, Outcome.FAIL))
+    assert readers(store, ["t0", "t1"]) == before
     assert store.pair_last_cycle() == {("t0", "a0"): 0, ("t1", "a1"): 0}
 
 
@@ -148,7 +160,8 @@ def test_history_log_round_trip(tmp_path):
     append_history(path, first, 0)
     append_history(path, second, 1)
     store = load_history(path)
-    assert store.records == (*first, *second)
+    built = HistoryStore([*first, *second], current_cycle=2)
+    assert readers(store, ["t0", "t1"]) == readers(built, ["t0", "t1"])
     assert store.current_cycle == 2
 
 
@@ -170,7 +183,9 @@ def test_history_log_discards_interrupted_cycle(tmp_path):
             + "\n"
         )
     store = load_history(path)
-    assert [r.test_id for r in store.records] == ["t0"]
+    assert store.last_execution("t9") is None
+    assert store.recent_fails("t9", 5) == []
+    assert store.pair_last_cycle() == {("t0", "a0"): 0}
     assert store.current_cycle == 1
 
 

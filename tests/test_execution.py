@@ -147,16 +147,17 @@ def test_outcome_model_validation():
 
 
 def test_collect_results_merges_in_agent_order():
+    # Both agents ran t0: agent a's record is merged first, b's is the repeat.
     history = HistoryStore()
     result_b = AgentResult(
-        "b", 0, (ExecutionRecord("t1", "b", 0, Outcome.FAIL, 1.0),), ()
+        "b", 0, (ExecutionRecord("t0", "b", 0, Outcome.FAIL, 1.0),), ()
     )
     result_a = AgentResult(
         "a", 0, (ExecutionRecord("t0", "a", 0, Outcome.PASS, 1.0),), ()
     )
-    collect_results([result_b, result_a], history)
-    assert [r.agent_id for r in history.records] == ["a", "b"]
-    assert history.current_cycle == 1
+    with pytest.raises(DuplicateRecordError):
+        collect_results([result_b, result_a], history)
+    assert history.pair_last_cycle() == {("t0", "a"): 0}
 
 
 def test_collect_results_rejects_wrong_cycle_and_duplicates():

@@ -92,9 +92,8 @@ def test_chunked_search_resumes_exactly(seed):
             step_done, nodes = kernel(*stepped, np.int64(1))
             step_used += nodes
         assert (step_done, step_used) == (done, used)
-        # The last two arguments are the incumbent and its objective.
-        for got, want in zip(stepped[-2:], whole[-2:]):
-            assert np.array_equal(got, want)
+        assert np.array_equal(stepped.inc_assign, whole.inc_assign)
+        assert np.array_equal(stepped.inc_acc, whole.inc_acc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,12 +103,11 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
     instance = replace(random_instance(rng), diversity=diversity)
     packed = PackedInstance(instance)
     args = search_args(packed, greedy_assignment(packed))
-    n, child_agents, child_stale, child_counts, suffix_stale = (args[i] for i in (0, 5, 6, 7, 9))
     agent_rank = {a: r for r, a in enumerate(sorted(packed.agent_ids))}
     maxima = []
     for i, p in enumerate(instance.prioritized):
-        count = child_counts[i]
-        agents = [packed.agent_ids[j] for j in child_agents[i, :count]]
+        count = args.child_counts[i]
+        agents = [packed.agent_ids[j] for j in args.child_agents[i, :count]]
         assert sorted(agents) == sorted(p.test.compatible_agents & set(packed.agent_ids))
         stale = [
             pair_staleness_units(
@@ -118,11 +116,11 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
             ) if diversity else 0
             for a in agents
         ]
-        assert child_stale[i, :count].tolist() == stale
+        assert args.child_stale[i, :count].tolist() == stale
         keys = [(-s, agent_rank[a]) for s, a in zip(stale, agents)]
         assert keys == sorted(keys)
         maxima.append(max(stale, default=0))
-    assert suffix_stale.tolist() == [sum(maxima[d:]) for d in range(n + 1)]
+    assert args.suffix_stale.tolist() == [sum(maxima[d:]) for d in range(args.n + 1)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -14,6 +14,7 @@ from cisched import (
     SchedulerKind,
     SimulationConfig,
     SimulationState,
+    append_history,
     load_history,
     load_plan,
     load_report,
@@ -57,7 +58,8 @@ def test_run_cycle_advances_history():
     assert report.cycle == 0
     assert report.executed_count == report.scheduled_count > 0
     assert report.dropped_tests == 3 - report.scheduled_count
-    executed = {r.test_id for r in state.history.records}
+    executed = [t.id for t in tests if state.history.last_execution(t.id) == 0]
+    assert len(executed) == report.executed_count
     assert "t3" not in executed
 
 
@@ -88,7 +90,9 @@ def test_run_simulation_writes_artifacts(tmp_path):
 
     store = load_history(out / "history.jsonl")
     assert store.current_cycle == 2
-    assert len(store.records) == sum(r.executed_count for r in reports)
+    lines = (out / "history.jsonl").read_text(encoding="utf-8").splitlines()
+    kinds = [json.loads(line)["type"] for line in lines]
+    assert kinds.count("record") == sum(r.executed_count for r in reports)
 
     timings = [
         json.loads(line)
@@ -100,15 +104,14 @@ def test_run_simulation_writes_artifacts(tmp_path):
 
 def test_run_simulation_replays_prior_history(tmp_path):
     tests, agents = small_repo()
-    prior = HistoryStore()
-    prior.add_record(ExecutionRecord("t0", "a0", 0, Outcome.PASS, 2.0))
-    prior.advance_cycle()
+    prior = tmp_path / "prior.jsonl"
+    append_history(prior, [ExecutionRecord("t0", "a0", 0, Outcome.PASS, 2.0)], 0)
     out = tmp_path / "resumed"
     reports = run_simulation(config(cycles=1, out_dir=str(out)), tests, agents, prior)
     assert reports[0].cycle == 1
-    store = load_history(out / "history.jsonl")
-    assert store.current_cycle == 2
-    assert store.records[0] == ExecutionRecord("t0", "a0", 0, Outcome.PASS, 2.0)
+    log = (out / "history.jsonl").read_text(encoding="utf-8")
+    assert log.startswith(prior.read_text(encoding="utf-8"))
+    assert load_history(out / "history.jsonl").current_cycle == 2
     assert (out / "cycle_1" / "report.json").exists()
     assert not (out / "cycle_0").exists()
 

@@ -174,6 +174,35 @@ def test_wall_time_counts_packing(monkeypatch):
     assert stats.wall_ms >= 50
 
 
+def test_wall_deadline_stops_within_a_short_kernel_call(monkeypatch):
+    # One fake millisecond per node puts the 100 ms budget's wall deadline
+    # mid-search; the check between kernel calls must catch it promptly.
+    now = [0.0]
+    real = cisched.solver.get_kernel
+
+    def timed_kernel(backend):
+        kernel = real(backend)
+
+        def call(*args):
+            done, nodes = kernel(*args)
+            now[0] += nodes / 1000.0
+            return done, nodes
+
+        return call
+
+    monkeypatch.setattr(cisched.solver.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(cisched.solver, "get_kernel", timed_kernel)
+    rng = np.random.Generator(np.random.PCG64(99))
+    instance = random_instance(
+        rng, max_tests=40, min_tests=40, max_agents=4, max_obligatory=0,
+        time_budget_ms=100,
+    )
+    _, stats = solve_detailed(instance, backend="python")
+    assert not stats.completed
+    assert stats.nodes < stats.node_budget
+    assert stats.wall_ms <= 1.1 * 100 * cisched.solver.WALL_SAFETY_FACTOR
+
+
 def test_node_budget_validation():
     instance = trap_instance()
     with pytest.raises(ValueError):
