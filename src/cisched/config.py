@@ -41,6 +41,8 @@ class SolverSettings:
             raise ValueError("staleness_cap must be >= 1")
         if self.backend not in ("auto", "numba", "python"):
             raise ValueError(f"backend must be auto, numba, or python, got {self.backend!r}")
+        if self.nodes_per_ms is not None and self.nodes_per_ms < 1:
+            raise ValueError("nodes_per_ms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,12 @@ class SimulationSettings:
     def __post_init__(self) -> None:
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
+        if not 0.0 <= self.default_defect_probability <= 1.0:
+            raise ValueError("default_defect_probability must be in [0, 1]")
+        if not 0 < self.jitter_low <= self.jitter_high:
+            raise ValueError("jitter_low must be in (0, jitter_high]")
 
 
 @dataclass(frozen=True)

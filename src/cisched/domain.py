@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from cisched import codec
 
@@ -168,43 +168,38 @@ class DuplicateRecordError(Exception):
         self.cycle = cycle
 
 
+def _check_cycle_block(records: Sequence[ExecutionRecord], cycle: int) -> None:
+    """The rule for one cycle's records: all belong to the cycle, no test twice."""
+    seen: set[str] = set()
+    for r in records:
+        if r.cycle != cycle:
+            raise ValueError(f"record for cycle {r.cycle} inside cycle {cycle} block")
+        if r.test_id in seen:
+            raise DuplicateRecordError(r.test_id, cycle)
+        seen.add(r.test_id)
+
+
 class HistoryStore:
     """Execution history reduced to what prioritization reads.
 
     Per test: the last cycle it ran and its fail flags, oldest first; per
-    (test, agent) pair: the last cycle it ran. Records arrive in
-    non-decreasing cycle order, each test at most once per cycle. Mutation
-    is single-writer; readers may share the store freely between mutations.
+    (test, agent) pair: the last cycle it ran. Only :meth:`add_cycle`, from
+    a single writer, changes it; readers may share it between calls.
     """
 
-    def __init__(self, records: Iterable[ExecutionRecord] = (), current_cycle: int = 0) -> None:
+    def __init__(self) -> None:
         self._last: dict[str, int] = {}
         self._fails: dict[str, list[bool]] = {}
         self._pair_last: dict[tuple[str, str], int] = {}
-        self._newest = 0
         self.current_cycle = 0
+
+    def add_cycle(self, records: Sequence[ExecutionRecord]) -> None:
+        """Record the current cycle and advance; a rejected block changes nothing."""
+        _check_cycle_block(records, self.current_cycle)
         for r in records:
-            # Replaying past records: allow cycles below current_cycle.
-            self.add_record(r)
-        if current_cycle < self._newest:
-            raise ValueError("current_cycle must be >= the newest record's cycle")
-        self.current_cycle = max(current_cycle, self.current_cycle)
-
-    def add_record(self, record: ExecutionRecord) -> None:
-        if record.cycle < 0:
-            raise ValueError(f"record cycle must be >= 0, got {record.cycle}")
-        if record.cycle < self._newest:
-            raise ValueError("records must be appended in non-decreasing cycle order")
-        # Cycles never decrease, so a repeat of (test, cycle) can only be
-        # the test's newest record.
-        if self._last.get(record.test_id) == record.cycle:
-            raise DuplicateRecordError(record.test_id, record.cycle)
-        self._newest = record.cycle
-        self._last[record.test_id] = record.cycle
-        self._fails.setdefault(record.test_id, []).append(record.outcome is Outcome.FAIL)
-        self._pair_last[(record.test_id, record.agent_id)] = record.cycle
-
-    def advance_cycle(self) -> None:
+            self._last[r.test_id] = r.cycle
+            self._fails.setdefault(r.test_id, []).append(r.outcome is Outcome.FAIL)
+            self._pair_last[(r.test_id, r.agent_id)] = r.cycle
         self.current_cycle += 1
 
     def recent_fails(self, test_id: str, k: int) -> list[bool]:
@@ -246,7 +241,11 @@ def save_repository(tests: Sequence[TestCase], agents: Sequence[TestAgent], path
 
 
 def append_history(path: str | Path, records: Sequence[ExecutionRecord], completed_cycle: int) -> None:
-    """Append one completed cycle (its records plus a completion marker) to a history log."""
+    """Append one completed cycle (its records plus a completion marker) to a history log.
+
+    A block load_history would reject raises before the file is opened.
+    """
+    _check_cycle_block(records, completed_cycle)
     with open(path, "a", encoding="utf-8") as fh:
         for r in records:
             line = {"type": "record", **codec.encode_fields(r)}
@@ -286,12 +285,6 @@ def load_history(path: str | Path) -> HistoryStore:
                 raise ValueError(
                     f"history cycle marker {cycle} does not match expected {store.current_cycle}"
                 )
-            for r in pending:
-                if r.cycle != cycle:
-                    raise ValueError(
-                        f"record for cycle {r.cycle} inside cycle {cycle} block"
-                    )
-                store.add_record(r)
-            store.advance_cycle()
+            store.add_cycle(pending)
             pending = []
     return store

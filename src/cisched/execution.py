@@ -153,8 +153,8 @@ def collect_results(results: Sequence[AgentResult], history: HistoryStore) -> Hi
     """Merge all agents' results for the current cycle, then advance it.
 
     Single-writer barrier: call once per cycle after every agent finished.
-    Results are merged in agent id order so the stored record order does
-    not depend on execution order.
+    The merge is one all-or-nothing :meth:`HistoryStore.add_cycle`, in
+    agent id order so errors do not depend on execution order.
     """
     for result in results:
         if result.cycle != history.current_cycle:
@@ -162,10 +162,9 @@ def collect_results(results: Sequence[AgentResult], history: HistoryStore) -> Hi
                 f"result for agent {result.agent_id!r} belongs to cycle {result.cycle}, "
                 f"current cycle is {history.current_cycle}"
             )
-    for result in sorted(results, key=lambda r: r.agent_id):
-        for record in result.records:
-            history.add_record(record)
-    history.advance_cycle()
+    history.add_cycle(
+        [rec for result in sorted(results, key=lambda r: r.agent_id) for rec in result.records]
+    )
     return history
 
 

@@ -31,7 +31,6 @@ DEFAULT_NODES_PER_MS = {"numba": 14000, "python": 70}
 
 def _search_chunk(
     n,
-    m,
     dur,  # int64[n] duration units
     prio,  # int64[n] priority units
     oblig,  # int64[n] 1 if the test must be assigned
@@ -44,6 +43,7 @@ def _search_chunk(
     suffix_oblig_dur,  # int64[n+1]
     rank_to_idx,  # int64[n] test index holding each sorted-id rank
     agent_rank,  # int64[m] rank of each agent column in sorted-id order
+    capacity,  # total budget of all agents
     pos,  # int64[n+1] next child index per depth (0 = fresh entry)
     assign,  # int64[n] current partial assignment, -1 = unassigned
     residual,  # int64[m] remaining budget per agent
@@ -110,9 +110,7 @@ def _search_chunk(
             # only on a strictly smaller bound keeps every potential
             # tie-break winner reachable.
             nodes += 1
-            pool = 0
-            for j in range(m):
-                pool += residual[j]
+            pool = capacity - acc[2]  # the sum of residual, in O(1)
             if suffix_oblig_dur[d] > pool:
                 # Remaining obligatory tests cannot fit even when capacity
                 # is pooled: no feasible leaf below this node.
@@ -267,11 +265,12 @@ def search_args(packed: PackedInstance, incumbent: np.ndarray) -> SearchArgs:
         child_stale[i, : len(cols)] = [-s for s, _, _ in children]
     dur, oblig = packed.dur_us, packed.oblig
     return SearchArgs(
-        n, m, dur, packed.prio_u, oblig, child_agents, child_stale, child_counts,
+        n, dur, packed.prio_u, oblig, child_agents, child_stale, child_counts,
         density_order(packed.prio_u, dur),
         # Column 0 holds each test's stalest child (0 with no child).
         _suffix_sums(child_stale[:, 0]), _suffix_sums(dur), _suffix_sums(dur * oblig),
         np.array(rank_to_idx, dtype=np.int64), np.array(rank, dtype=np.int64),
+        np.int64(packed.budget_us.sum()),
         # Traversal state at the root: pos, assign, residual, acc, ctl.
         np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), packed.budget_us.copy(),
         np.zeros(3, dtype=np.int64), np.zeros(1, dtype=np.int64),

@@ -171,3 +171,12 @@ def zero_tie_instance(rng: np.random.Generator, max_tests: int = 8) -> Schedulin
         cycle=base.current_cycle,
         diversity=bool(rng.random() < 0.5),
     )
+
+
+def history_readers(store, test_ids):
+    """Everything a HistoryStore answers about the given tests."""
+    return (
+        store.current_cycle,
+        store.pair_last_cycle(),
+        {t: (store.last_execution(t), store.recent_fails(t, 1000)) for t in test_ids},
+    )

@@ -234,9 +234,9 @@ def test_criterion_5_priority_dynamics(tmp_path):
         # Unexecuted for exactly `cap` cycles: staleness saturates at 1.0.
         cap = weights.staleness_cap
         store = HistoryStore()
-        store.add_record(ExecutionRecord("tfail", "a0", 0, Outcome.PASS, 1.0))
-        for _ in range(cap):
-            store.advance_cycle()
+        store.add_cycle([ExecutionRecord("tfail", "a0", 0, Outcome.PASS, 1.0)])
+        for _ in range(cap - 1):
+            store.add_cycle([])
         assert staleness("tfail", store, store.current_cycle, cap) == 1.0
 
 

@@ -275,7 +275,12 @@ def test_unknown_config_key_exits_1(tmp_path):
     for section, key, value in [
         ("priority", "decay", 2.0),
         ("solver", "staleness_cap", 0),
+        ("solver", "nodes_per_ms", 0),
+        ("solver", "nodes_per_ms", -3),
         ("simulation", "cycles", 0),
+        ("simulation", "default_defect_probability", 5.0),
+        ("simulation", "jitter_low", 2.0),
+        ("simulation", "seed", -1),
         ("workload", "test_count", -1),
     ]:
         config.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
@@ -284,6 +289,7 @@ def test_unknown_config_key_exits_1(tmp_path):
         payload = json.loads(proc.stderr)
         assert payload["error"] == "type_mismatch"
         assert payload["message"].startswith(f"{section}: {key} must be")
+        assert not (tmp_path / "x").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path):

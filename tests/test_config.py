@@ -121,7 +121,12 @@ def test_semantic_validation(tmp_path):
     for dotted, value in [
         ("priority.decay", 2.0),
         ("solver.staleness_cap", 0),
+        ("solver.nodes_per_ms", 0),
+        ("solver.nodes_per_ms", -3),
         ("simulation.cycles", 0),
+        ("simulation.default_defect_probability", 5.0),
+        ("simulation.jitter_low", 2.0),
+        ("simulation.seed", -1),
         ("workload.test_count", -1),
     ]:
         section, _, key = dotted.partition(".")

@@ -22,10 +22,10 @@ from cisched import (
     save_repository,
     validate_repository,
 )
-from cisched.codec import decode, encode
+from cisched.codec import FORMAT_VERSION, decode, encode, encode_fields
 from cisched.domain import Repository
 
-from helpers import make_agent, make_test
+from helpers import history_readers, make_agent, make_test
 
 
 def record(test_id="t0", agent_id="a0", cycle=0, outcome=Outcome.PASS, duration=1.0):
@@ -94,22 +94,10 @@ def test_filter_eligible_is_idempotent_and_order_preserving():
     assert [t.id for t in once[0]] == [t.id for t in tests]
 
 
-def readers(store, test_ids):
-    """Everything a HistoryStore answers about the given tests."""
-    return (
-        store.current_cycle,
-        store.pair_last_cycle(),
-        {t: (store.last_execution(t), store.recent_fails(t, 1000)) for t in test_ids},
-    )
-
-
 def test_history_store_indexes_records():
     store = HistoryStore()
-    store.add_record(record("t0", "a0", 0))
-    store.add_record(record("t1", "a1", 0, Outcome.FAIL))
-    store.advance_cycle()
-    store.add_record(record("t0", "a1", 1, Outcome.FAIL))
-    store.advance_cycle()
+    store.add_cycle([record("t0", "a0", 0), record("t1", "a1", 0, Outcome.FAIL)])
+    store.add_cycle([record("t0", "a1", 1, Outcome.FAIL)])
     assert store.current_cycle == 2
     assert store.recent_fails("t0", 5) == [True, False]
     assert store.recent_fails("t0", 1) == [True]
@@ -127,30 +115,39 @@ def test_history_store_indexes_records():
 
 def test_history_store_rejects_duplicates_and_regressions():
     store = HistoryStore()
-    store.add_record(record("t0", "a0", 0))
-    with pytest.raises(DuplicateRecordError):
-        store.add_record(record("t0", "a1", 0))
-    store.advance_cycle()
-    store.add_record(record("t1", "a0", 1))
-    with pytest.raises(ValueError):
-        store.add_record(record("t2", "a0", 0))
-    with pytest.raises(ValueError):
-        HistoryStore([record(cycle=-1)])
-    # A repeat that is not the newest record overall is still caught, and
-    # leaves the store as it was.
-    store = HistoryStore([record("t0", "a0", 0), record("t1", "a1", 0)])
-    before = readers(store, ["t0", "t1"])
-    with pytest.raises(DuplicateRecordError):
-        store.add_record(record("t0", "a1", 0, Outcome.FAIL))
-    assert readers(store, ["t0", "t1"]) == before
-    assert store.pair_last_cycle() == {("t0", "a0"): 0, ("t1", "a1"): 0}
+    store.add_cycle([record("t0", "a0", 0), record("t1", "a1", 0)])
+    before = history_readers(store, ["t0", "t1", "t2"])
+    # A repeated test, a record of an earlier, later or negative cycle:
+    # each block is rejected whole, and no reader changes.
+    bad_blocks = [
+        [record("t2", "a0", 1), record("t0", "a0", 1), record("t0", "a1", 1, Outcome.FAIL)],
+        [record("t2", "a0", 1), record("t1", "a0", 0)],
+        [record("t2", "a0", 1), record("t1", "a0", 7)],
+        [record("t2", "a0", -1)],
+    ]
+    for block, error in zip(bad_blocks, [DuplicateRecordError, ValueError, ValueError, ValueError]):
+        with pytest.raises(error):
+            store.add_cycle(block)
+        assert history_readers(store, ["t0", "t1", "t2"]) == before
+    assert store.current_cycle == 1
+    with pytest.raises(DuplicateRecordError, match="duplicate record for test 't0' in cycle 1"):
+        store.add_cycle(bad_blocks[0])
+    with pytest.raises(ValueError, match="^record for cycle 7 inside cycle 1 block$"):
+        store.add_cycle(bad_blocks[2])
+    # The corrected block then merges.
+    store.add_cycle([record("t2", "a0", 1), record("t0", "a1", 1, Outcome.FAIL)])
+    assert store.current_cycle == 2
+    assert store.last_execution("t0") == 1
+    assert store.recent_fails("t0", 5) == [True, False]
 
 
-def test_history_store_current_cycle_floor():
-    store = HistoryStore([record(cycle=2)], current_cycle=5)
-    assert store.current_cycle == 5
-    with pytest.raises(ValueError):
-        HistoryStore([record(cycle=3)], current_cycle=1)
+def test_history_store_state_ignores_record_order():
+    records = [record("t0", "a0", 0), record("t1", "a1", 0, Outcome.FAIL), record("t2", "a0", 0)]
+    forward, backward = HistoryStore(), HistoryStore()
+    forward.add_cycle(records)
+    backward.add_cycle(records[::-1])
+    ids = ["t0", "t1", "t2"]
+    assert history_readers(forward, ids) == history_readers(backward, ids)
 
 
 def test_history_log_round_trip(tmp_path):
@@ -160,9 +157,32 @@ def test_history_log_round_trip(tmp_path):
     append_history(path, first, 0)
     append_history(path, second, 1)
     store = load_history(path)
-    built = HistoryStore([*first, *second], current_cycle=2)
-    assert readers(store, ["t0", "t1"]) == readers(built, ["t0", "t1"])
+    built = HistoryStore()
+    built.add_cycle(first)
+    built.add_cycle(second)
+    assert history_readers(store, ["t0", "t1"]) == history_readers(built, ["t0", "t1"])
     assert store.current_cycle == 2
+
+
+def test_append_history_refuses_a_malformed_block(tmp_path):
+    path = tmp_path / "history.jsonl"
+    append_history(path, [record("t0", "a0", 0)], 0)
+    before = path.read_bytes()
+    with pytest.raises(DuplicateRecordError):
+        append_history(path, [record("t0", "a0", 1), record("t0", "a1", 1)], 1)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="^record for cycle 7 inside cycle 1 block$"):
+        append_history(path, [record("t1", "a0", 1), record("t0", "a0", 7)], 1)
+    assert path.read_bytes() == before
+    # The log still loads, and the corrected block extends it.
+    assert load_history(path).current_cycle == 1
+    append_history(path, [record("t0", "a0", 1)], 1)
+    assert load_history(path).current_cycle == 2
+    # A refused block never creates the file either.
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(ValueError):
+        append_history(fresh, [record("t0", "a0", 3)], 0)
+    assert not fresh.exists()
 
 
 def test_history_log_discards_interrupted_cycle(tmp_path):
@@ -202,6 +222,43 @@ def test_history_log_rejects_unknown_line_type(tmp_path):
     path.write_text(json.dumps({"type": "note"}) + "\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_history(path)
+
+
+def record_line(test_id, cycle):
+    return {"type": "record", **encode_fields(record(test_id, "a0", cycle))}
+
+
+def marker_line(cycle, version=FORMAT_VERSION):
+    return {"type": "cycle", "cycle": cycle, "format_version": version}
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            [record_line("t0", 0), marker_line(0), record_line("t0", 2), marker_line(2)],
+            "history cycle marker 2 does not match expected 1",
+        ),
+        ([{"type": "note"}], "{path}:1: unknown history line type: 'note'"),
+        (
+            [record_line("t0", 0), record_line("t1", 1), marker_line(0)],
+            "record for cycle 1 inside cycle 0 block",
+        ),
+        (
+            [record_line("t0", 0), record_line("t0", 0), marker_line(0)],
+            "duplicate record for test 't0' in cycle 0",
+        ),
+        ([marker_line(0, 99)], "{path}:1: unsupported format_version: 99"),
+        ([["not", "an", "object"]], "{path}:1: expected an object"),
+    ],
+    ids=["marker_gap", "unknown_type", "wrong_cycle", "duplicate", "bad_version", "not_object"],
+)
+def test_history_log_error_messages(tmp_path, lines, message):
+    path = tmp_path / "history.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises((ValueError, DuplicateRecordError)) as info:
+        load_history(path)
+    assert str(info.value) == message.format(path=path)
 
 
 def test_repository_round_trip(tmp_path):

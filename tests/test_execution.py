@@ -32,7 +32,7 @@ from cisched import (
 )
 from cisched.codec import FORMAT_VERSION, decode, encode
 
-from helpers import make_agent, make_test
+from helpers import history_readers, make_agent, make_test
 
 
 def sample_schedule():
@@ -147,7 +147,8 @@ def test_outcome_model_validation():
 
 
 def test_collect_results_merges_in_agent_order():
-    # Both agents ran t0: agent a's record is merged first, b's is the repeat.
+    # Both agents ran t0: agent a's record comes first, b's is the repeat,
+    # and the merge is rejected whole.
     history = HistoryStore()
     result_b = AgentResult(
         "b", 0, (ExecutionRecord("t0", "b", 0, Outcome.FAIL, 1.0),), ()
@@ -157,7 +158,8 @@ def test_collect_results_merges_in_agent_order():
     )
     with pytest.raises(DuplicateRecordError):
         collect_results([result_b, result_a], history)
-    assert history.pair_last_cycle() == {("t0", "a"): 0}
+    assert history.pair_last_cycle() == {}
+    assert history.current_cycle == 0
 
 
 def test_collect_results_rejects_wrong_cycle_and_duplicates():
@@ -171,6 +173,38 @@ def test_collect_results_rejects_wrong_cycle_and_duplicates():
     ]
     with pytest.raises(DuplicateRecordError):
         collect_results(both, history)
+
+
+def test_rejected_merge_changes_nothing_and_a_corrected_retry_merges():
+    history = HistoryStore()
+    collect_results(
+        [AgentResult("a", 0, (ExecutionRecord("t1", "a", 0, Outcome.FAIL, 1.0),), ())], history
+    )
+    before = history_readers(history, ["t0", "t1", "t2"])
+    first = AgentResult(
+        "a", 1,
+        (ExecutionRecord("t0", "a", 1, Outcome.PASS, 1.0),
+         ExecutionRecord("t1", "a", 1, Outcome.PASS, 1.0)),
+        (),
+    )
+    repeat = AgentResult("b", 1, (ExecutionRecord("t0", "b", 1, Outcome.FAIL, 1.0),), ())
+    with pytest.raises(DuplicateRecordError, match="duplicate record for test 't0' in cycle 1"):
+        collect_results([repeat, first], history)
+    assert history_readers(history, ["t0", "t1", "t2"]) == before
+    # A record stamped with another cycle inside a current-cycle result.
+    misstamped = AgentResult("b", 1, (ExecutionRecord("t2", "b", 7, Outcome.PASS, 1.0),), ())
+    with pytest.raises(ValueError, match="^record for cycle 7 inside cycle 1 block$"):
+        collect_results([first, misstamped], history)
+    assert history_readers(history, ["t0", "t1", "t2"]) == before
+    # The corrected results merge, and later cycles go on normally.
+    fixed = AgentResult("b", 1, (ExecutionRecord("t2", "b", 1, Outcome.PASS, 1.0),), ())
+    collect_results([fixed, first], history)
+    assert history.current_cycle == 2
+    assert history.pair_last_cycle() == {("t1", "a"): 1, ("t0", "a"): 1, ("t2", "b"): 1}
+    assert history.recent_fails("t1", 5) == [False, True]
+    later = AgentResult("a", 2, (ExecutionRecord("t2", "a", 2, Outcome.PASS, 1.0),), ())
+    collect_results([later], history)
+    assert history.last_execution("t2") == 2
 
 
 def test_artifact_paths():

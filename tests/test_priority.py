@@ -20,20 +20,22 @@ from helpers import make_test
 
 
 def history_with(outcomes, test_id="t0", start_cycle=0):
+    """The test ran once per cycle from start_cycle on; earlier cycles ran nothing."""
     store = HistoryStore()
-    cycle = start_cycle
+    for _ in range(start_cycle):
+        store.add_cycle([])
     for outcome in outcomes:
-        store.add_record(
-            ExecutionRecord(
-                test_id=test_id,
-                agent_id="a0",
-                cycle=cycle,
-                outcome=outcome,
-                actual_duration=1.0,
-            )
+        store.add_cycle(
+            [
+                ExecutionRecord(
+                    test_id=test_id,
+                    agent_id="a0",
+                    cycle=store.current_cycle,
+                    outcome=outcome,
+                    actual_duration=1.0,
+                )
+            ]
         )
-        store.advance_cycle()
-        cycle += 1
     return store
 
 
@@ -169,10 +171,7 @@ def test_priority_weights_validate():
 def test_priority_stays_in_unit_interval(duration, static, current, outcomes):
     store = HistoryStore()
     for i, outcome in enumerate(outcomes):
-        store.add_record(
-            ExecutionRecord("t0", "a0", i, outcome, 1.0)
-        )
-        store.advance_cycle()
+        store.add_cycle([ExecutionRecord("t0", "a0", i, outcome, 1.0)])
     current = max(current, store.current_cycle)
     test = make_test("t0", duration=duration, static=static)
     got = compute_priority(test, store, PriorityWeights(), current, d_max=50.0)
