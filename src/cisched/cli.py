@@ -289,11 +289,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
+    # Only finished cycles count: a cycle_<n> directory whose report.json
+    # an interrupted run never wrote, or a foreign cycle_* entry, is skipped.
     cycle_dirs = sorted(
-        (d for d in in_dir.glob("cycle_*") if d.is_dir()),
-        key=lambda d: int(d.name.split("_", 1)[1]),
+        (
+            d for d in in_dir.glob("cycle_*")
+            if d.name[len("cycle_"):].isdecimal() and (d / "report.json").is_file()
+        ),
+        key=lambda d: int(d.name[len("cycle_"):]),
     )
-    reports = [load_report(d / "report.json") for d in cycle_dirs if (d / "report.json").exists()]
+    reports = [load_report(d / "report.json") for d in cycle_dirs]
     if not reports:
         raise EmptyCampaignError(f"no cycle reports under {in_dir}")
     summary = campaign_summary(reports)

@@ -279,12 +279,16 @@ def load_history(path: str | Path) -> HistoryStore:
                 if kind != "cycle":
                     raise ValueError(f"unknown history line type: {kind!r}")
                 cycle = codec.decode(_CycleMarker, obj).cycle
+                if cycle != store.current_cycle:
+                    raise ValueError(
+                        f"history cycle marker {cycle} does not match expected {store.current_cycle}"
+                    )
+                store.add_cycle(pending)
+            except DuplicateRecordError as exc:
+                # Same class and fields, located at the marker closing the block.
+                exc.args = (f"{path}:{number}: {exc}",)
+                raise
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from exc
-            if cycle != store.current_cycle:
-                raise ValueError(
-                    f"history cycle marker {cycle} does not match expected {store.current_cycle}"
-                )
-            store.add_cycle(pending)
             pending = []
     return store

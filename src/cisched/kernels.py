@@ -6,8 +6,9 @@ the plain function stays available as the fallback. Both backends execute
 the same bytecode-level logic over integers, so they visit nodes in the
 same order and produce identical incumbents for a given node budget.
 
-:func:`search_args` is the only builder of kernel inputs: it derives the
-search-only arrays from a PackedInstance, so greedy never pays for them.
+:func:`search_args` is the only builder of kernel inputs: it turns a
+PackedInstance's plain ints into the int64 arrays the kernel reads, so
+greedy never pays for them.
 :func:`warmup` compiles through it, so numba sees the solver's types.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import inspect
 import os
 from collections import namedtuple
+from typing import Sequence
 
 import numpy as np
 
@@ -217,7 +219,11 @@ def get_kernel(backend: str):
     return _search_chunk
 
 
-def density_order(prio: np.ndarray, dur: np.ndarray) -> np.ndarray:
+def _int64(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def density_order(prio: Sequence[int], dur: Sequence[int]) -> np.ndarray:
     """Test indices by descending priority per unit time, exactly.
 
     Zero-duration tests come first. The rest sort by the integer key
@@ -225,11 +231,12 @@ def density_order(prio: np.ndarray, dur: np.ndarray) -> np.ndarray:
     1 / (t1 * t2) > 2**-k, so their keys differ too and float rounding can
     never reorder them. Equal densities keep index order.
     """
-    p, t = prio.tolist(), dur.tolist()
-    k = 2 * max(t, default=0).bit_length()
-    free = [i for i in range(len(t)) if t[i] == 0]
-    timed = sorted((i for i in range(len(t)) if t[i]), key=lambda i: -((p[i] << k) // t[i]))
-    return np.array(free + timed, dtype=np.int64)
+    k = 2 * max(dur, default=0).bit_length()
+    free = [i for i in range(len(dur)) if dur[i] == 0]
+    timed = sorted(
+        (i for i in range(len(dur)) if dur[i]), key=lambda i: -((prio[i] << k) // dur[i])
+    )
+    return _int64(free + timed)
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -242,11 +249,12 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
 SearchArgs = namedtuple("SearchArgs", list(inspect.signature(_search_chunk).parameters)[:-1])
 
 
-def search_args(packed: PackedInstance, incumbent: np.ndarray) -> SearchArgs:
+def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     """Every kernel argument except node_budget, in signature order.
 
-    ``incumbent`` is passed itself: the kernel overwrites it in place
-    whenever it finds a better assignment.
+    Every array is built here. ``inc_assign`` is a copy of ``incumbent``
+    that the kernel overwrites in place whenever it finds a better
+    assignment, so callers read the result back from it.
     """
     n, m = packed.n, packed.m
     # Ranks in sorted-id order, so integer pair comparisons mirror the
@@ -258,23 +266,22 @@ def search_args(packed: PackedInstance, incumbent: np.ndarray) -> SearchArgs:
     # search meets diverse assignments early; skip is implicit last.
     child_agents = np.full((n, max(m, 1)), -1, dtype=np.int64)
     child_stale = np.zeros((n, max(m, 1)), dtype=np.int64)
-    child_counts = np.array([len(cols) for cols in packed.compat], dtype=np.int64)
     for i, cols in enumerate(packed.compat):
         children = sorted((-packed.stale_units(i, j), rank[j], j) for j in cols)
         child_agents[i, : len(cols)] = [j for _, _, j in children]
         child_stale[i, : len(cols)] = [-s for s, _, _ in children]
-    dur, oblig = packed.dur_us, packed.oblig
+    dur, oblig = _int64(packed.dur_us), _int64(packed.oblig)
     return SearchArgs(
-        n, dur, packed.prio_u, oblig, child_agents, child_stale, child_counts,
-        density_order(packed.prio_u, dur),
+        n, dur, _int64(packed.prio_u), oblig, child_agents, child_stale,
+        _int64([len(cols) for cols in packed.compat]),
+        density_order(packed.prio_u, packed.dur_us),
         # Column 0 holds each test's stalest child (0 with no child).
         _suffix_sums(child_stale[:, 0]), _suffix_sums(dur), _suffix_sums(dur * oblig),
-        np.array(rank_to_idx, dtype=np.int64), np.array(rank, dtype=np.int64),
-        np.int64(packed.budget_us.sum()),
+        _int64(rank_to_idx), _int64(rank), np.int64(sum(packed.budget_us)),
         # Traversal state at the root: pos, assign, residual, acc, ctl.
-        np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), packed.budget_us.copy(),
+        np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), _int64(packed.budget_us),
         np.zeros(3, dtype=np.int64), np.zeros(1, dtype=np.int64),
-        incumbent, np.array(packed.objective_units(incumbent), dtype=np.int64),
+        _int64(incumbent), _int64(packed.objective_units(incumbent)),
     )
 
 
@@ -287,6 +294,5 @@ def warmup(backend: str = "auto") -> str:
         for i in range(2)
     ]
     packed = PackedInstance(build_instance(tests, [agent], {}, 0))
-    incumbent = np.full(packed.n, -1, dtype=np.int64)
-    get_kernel(resolved)(*search_args(packed, incumbent), np.int64(10_000))
+    get_kernel(resolved)(*search_args(packed, [-1] * packed.n), np.int64(10_000))
     return resolved

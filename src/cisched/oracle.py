@@ -51,6 +51,8 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
 
     radix = m + 1
     total = radix**n
+    dur = np.array(packed.dur_us, dtype=np.int64)
+    prio_u = np.array(packed.prio_u, dtype=np.int64)
     pows = radix ** np.arange(n, dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)[None, :]
 
@@ -63,12 +65,12 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
             stale_ext[i, j + 1] = packed.stale_units(i, j)
     oblig_cols = np.flatnonzero(packed.oblig)
 
-    def pair_key(assign: np.ndarray) -> list[tuple[str, str]]:
+    def pair_key(assign: list[int]) -> list[tuple[str, str]]:
         return sorted(
             (packed.test_ids[i], packed.agent_ids[j]) for i, j in enumerate(assign) if j >= 0
         )
 
-    best_assign: np.ndarray | None = None
+    best_assign: list[int] | None = None
     best_vec: tuple[int, int, int] | None = None
     best_key = None
 
@@ -81,23 +83,22 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
         if oblig_cols.size:
             ok &= assigned[:, oblig_cols].all(axis=1)
         for j in range(m):
-            load = np.where(digits == j + 1, packed.dur_us[None, :], 0).sum(axis=1)
+            load = np.where(digits == j + 1, dur[None, :], 0).sum(axis=1)
             ok &= load <= packed.budget_us[j]
 
         idx = np.flatnonzero(ok)
         if idx.size == 0:
             continue
 
-        prio = np.where(assigned[idx], packed.prio_u[None, :], 0).sum(axis=1)
+        prio = np.where(assigned[idx], prio_u[None, :], 0).sum(axis=1)
         keep = np.flatnonzero(prio == prio.max())
         stale = stale_ext[cols, digits[idx[keep]]].sum(axis=1)
         keep = keep[stale == stale.max()]
-        tim = np.where(assigned[idx[keep]], packed.dur_us[None, :], 0).sum(axis=1)
+        tim = np.where(assigned[idx[keep]], dur[None, :], 0).sum(axis=1)
         keep = keep[tim == tim.max()]
 
         for r in idx[keep]:
-            row = digits[r]
-            assign = np.where(row > 0, row - 1, -1).astype(np.int64)
+            assign = (digits[r] - 1).tolist()
             vec = packed.objective_units(assign)
             if best_vec is None or vec > best_vec:
                 best_assign, best_vec, best_key = assign, vec, pair_key(assign)

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from cisched.domain import TestAgent
 from cisched.priority import PrioritizedTest
 
@@ -174,14 +172,14 @@ class Schedule:
 
 
 class PackedInstance:
-    """Integer-array form of a SchedulingInstance shared by all schedulers.
+    """Integer form of a SchedulingInstance shared by all schedulers.
 
     Tests keep the prioritized order (index == search depth), agents keep
-    the instance order (index == column). ``compat`` lists each test's
-    compatible agent columns in ascending order, and pair staleness is
-    computed on demand by stale_units. Arrays only the search reads,
-    including the id ranks of its tie-break, are built by
-    cisched.kernels.search_args.
+    the instance order (index == column). Every field is a list of plain
+    ints; ``compat`` lists each test's compatible agent columns in
+    ascending order, and pair staleness is computed on demand by
+    stale_units. The int64 arrays the search reads, including the id
+    ranks of its tie-break, are built by cisched.kernels.search_args.
     """
 
     def __init__(self, instance: SchedulingInstance) -> None:
@@ -193,12 +191,10 @@ class PackedInstance:
         self.test_ids = [t.id for t in tests]
         self.agent_ids = [a.id for a in agents]
 
-        self.dur_us = np.array([quantize_seconds(t.avg_duration) for t in tests], dtype=np.int64)
-        self.prio_u = np.array(
-            [quantize_priority(p.priority) for p in instance.prioritized], dtype=np.int64
-        )
-        self.oblig = np.array([1 if t.obligatory else 0 for t in tests], dtype=np.int64)
-        self.budget_us = np.array([quantize_seconds(a.budget) for a in agents], dtype=np.int64)
+        self.dur_us = [quantize_seconds(t.avg_duration) for t in tests]
+        self.prio_u = [quantize_priority(p.priority) for p in instance.prioritized]
+        self.oblig = [1 if t.obligatory else 0 for t in tests]
+        self.budget_us = [quantize_seconds(a.budget) for a in agents]
 
         agent_col = {a.id: j for j, a in enumerate(agents)}
         self.compat = [
@@ -216,18 +212,18 @@ class PackedInstance:
             instance.current_cycle, instance.staleness_cap,
         )
 
-    def objective_units(self, assign: np.ndarray) -> tuple[int, int, int]:
-        """Exact objective sums for an assignment array (test index -> column or -1)."""
+    def objective_units(self, assign: Sequence[int]) -> tuple[int, int, int]:
+        """Exact objective sums for an assignment (test index -> column or -1)."""
         prio = stale = time = 0
         for i in range(self.n):
             j = assign[i]
             if j >= 0:
-                prio += int(self.prio_u[i])
+                prio += self.prio_u[i]
                 stale += self.stale_units(i, j)
-                time += int(self.dur_us[i])
+                time += self.dur_us[i]
         return prio, stale, time
 
-    def assignment_to_schedule(self, assign: np.ndarray) -> Schedule:
+    def assignment_to_schedule(self, assign: Sequence[int]) -> Schedule:
         assignments: dict[str, list[str]] = {a_id: [] for a_id in self.agent_ids}
         for i in range(self.n):
             j = assign[i]
@@ -277,7 +273,7 @@ def schedule_greedy(instance: SchedulingInstance) -> Schedule:
     return schedule
 
 
-def pack_obligatory(packed: PackedInstance) -> np.ndarray | None:
+def pack_obligatory(packed: PackedInstance) -> list[int] | None:
     """Find any placement of all obligatory tests, or None if impossible.
 
     Exact depth-first search, most-constrained test first, roomiest agent
@@ -285,8 +281,8 @@ def pack_obligatory(packed: PackedInstance) -> np.ndarray | None:
     so the exact search is affordable. It keeps its own stack, so the
     number of obligatory tests is not bounded by the recursion limit.
     """
-    dur = packed.dur_us.tolist()
-    residual = packed.budget_us.tolist()
+    dur = packed.dur_us
+    residual = list(packed.budget_us)
     assign = [-1] * packed.n
     order = sorted(
         (i for i in range(packed.n) if packed.oblig[i]),
@@ -318,10 +314,10 @@ def pack_obligatory(packed: PackedInstance) -> np.ndarray | None:
         else:
             untried.pop()
             k -= 1
-    return np.array(assign, dtype=np.int64)
+    return assign
 
 
-def ensure_obligatory_coverage(packed: PackedInstance) -> np.ndarray:
+def ensure_obligatory_coverage(packed: PackedInstance) -> list[int]:
     """Assignment placing every obligatory test, or InfeasibleError.
 
     Tests that fit no compatible agent even alone are reported by id; if
@@ -346,12 +342,12 @@ def ensure_obligatory_coverage(packed: PackedInstance) -> np.ndarray:
 
 def greedy_assignment(
     packed: PackedInstance,
-    initial_assign: np.ndarray | None = None,
-) -> np.ndarray:
-    """Agent-major first-fill on packed arrays, optionally completing a partial assignment."""
-    assign = [-1] * packed.n if initial_assign is None else initial_assign.tolist()
-    dur = packed.dur_us.tolist()
-    residual = packed.budget_us.tolist()
+    initial_assign: Sequence[int] | None = None,
+) -> list[int]:
+    """Agent-major first-fill on the packed form, optionally completing a partial assignment."""
+    assign = [-1] * packed.n if initial_assign is None else list(initial_assign)
+    dur = packed.dur_us
+    residual = list(packed.budget_us)
     takers: list[list[int]] = [[] for _ in range(packed.m)]
     for i, cols in enumerate(packed.compat):
         if assign[i] >= 0:
@@ -363,4 +359,4 @@ def greedy_assignment(
             if assign[i] < 0 and dur[i] <= residual[j]:
                 assign[i] = j
                 residual[j] -= dur[i]
-    return np.array(assign, dtype=np.int64)
+    return assign

@@ -75,22 +75,13 @@ def solve_detailed(
     start = time.perf_counter()
     packed = PackedInstance(instance)
     incumbent = greedy_assignment(packed)
-    missing = any(
-        packed.oblig[i] and incumbent[i] < 0 for i in range(packed.n)
-    )
-    if missing:
+    if any(packed.oblig[i] and incumbent[i] < 0 for i in range(packed.n)):
         # Greedy can starve obligatory tests; reseed from an exact placement
         # of just those, then fill the rest greedily.
         base = ensure_obligatory_coverage(packed)
         incumbent = greedy_assignment(packed, initial_assign=base)
 
-    if packed.n == 0 or packed.m == 0:
-        schedule = packed.assignment_to_schedule(incumbent)
-        check_schedule(schedule, instance)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        return schedule, SolveStats(0, True, wall_ms, resolved, node_budget)
-
-    # The kernel improves the greedy seed in place.
+    # The kernel improves its own copy of the seed in place.
     args = search_args(packed, incumbent)
     kernel = get_kernel(resolved)
     chunk = max(int(per_ms) * CHUNK_MS, 1)
@@ -107,10 +98,10 @@ def solve_detailed(
         if time.perf_counter() > deadline:
             break
 
-    schedule = packed.assignment_to_schedule(incumbent)
+    assign = args.inc_assign.tolist()
+    schedule = packed.assignment_to_schedule(assign)
     check_schedule(schedule, instance)
-    for i in range(packed.n):
-        if packed.oblig[i] and incumbent[i] < 0:
-            raise RuntimeError("internal error: obligatory test left unassigned")
+    if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):
+        raise RuntimeError("internal error: obligatory test left unassigned")
     wall_ms = (time.perf_counter() - start) * 1000.0
     return schedule, SolveStats(used, bool(done), wall_ms, resolved, node_budget)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from cisched import save_repository
+from cisched import ExecutionRecord, Outcome, save_repository
+from cisched.codec import FORMAT_VERSION, encode_fields
 
 from helpers import make_agent, make_test, src_env
 
@@ -164,6 +166,49 @@ def test_simulate_generates_and_reports(tmp_path):
     reports = json.loads((json_out / "reports.json").read_text(encoding="utf-8"))
     assert [r["cycle"] for r in reports] == [0, 1]
     assert all("format_version" in r for r in reports)
+
+
+def test_report_reads_only_finished_cycles(tmp_path):
+    # An interrupted run leaves a cycle directory without report.json, and
+    # foreign cycle_* entries may sit beside the cycles; neither is read.
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "workload:\n  test_count: 12\n  agent_count: 2\n  budget: 10.0\n"
+        "simulation:\n  cycles: 3\n  scheduler: greedy\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sim"
+    proc = run_cli("simulate", "--config", str(config), "--out", str(out), "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    (out / "cycle_1" / "report.json").unlink()
+    (out / "cycle_old").mkdir()
+    (out / "cycle_notes.txt").write_text("not a cycle\n", encoding="utf-8")
+
+    report_out = tmp_path / "csv"
+    proc = run_cli("report", "--in", str(out), "--out", str(report_out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cycles"] == 2
+    for name in ("utilization.csv", "timeline.csv"):
+        with open(report_out / name, encoding="utf-8") as fh:
+            cycles = {row["cycle"] for row in csv.DictReader(fh)}
+        assert cycles == {"0", "2"}, name
+
+
+def test_duplicate_history_record_names_its_line(tmp_path):
+    repo = small_repo_path(tmp_path)
+    history = tmp_path / "history.jsonl"
+    record = {"type": "record", **encode_fields(ExecutionRecord("t0", "a0", 0, Outcome.PASS, 1.0))}
+    marker = {"type": "cycle", "cycle": 0, "format_version": FORMAT_VERSION}
+    history.write_text(
+        "".join(json.dumps(line) + "\n" for line in (record, record, marker)), encoding="utf-8"
+    )
+    proc = run_cli(
+        "schedule", "--repo", str(repo), "--history", str(history), "--out", str(tmp_path / "p")
+    )
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "duplicate_record"
+    assert payload["message"] == f"{history}:3: duplicate record for test 't0' in cycle 0"
 
 
 def test_simulate_on_repository(tmp_path):

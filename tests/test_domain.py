@@ -233,31 +233,35 @@ def marker_line(cycle, version=FORMAT_VERSION):
 
 
 @pytest.mark.parametrize(
-    "lines, message",
+    "lines, error, message",
     [
         (
             [record_line("t0", 0), marker_line(0), record_line("t0", 2), marker_line(2)],
-            "history cycle marker 2 does not match expected 1",
+            ValueError,
+            "{path}:4: history cycle marker 2 does not match expected 1",
         ),
-        ([{"type": "note"}], "{path}:1: unknown history line type: 'note'"),
+        ([{"type": "note"}], ValueError, "{path}:1: unknown history line type: 'note'"),
         (
             [record_line("t0", 0), record_line("t1", 1), marker_line(0)],
-            "record for cycle 1 inside cycle 0 block",
+            ValueError,
+            "{path}:3: record for cycle 1 inside cycle 0 block",
         ),
         (
             [record_line("t0", 0), record_line("t0", 0), marker_line(0)],
-            "duplicate record for test 't0' in cycle 0",
+            DuplicateRecordError,
+            "{path}:3: duplicate record for test 't0' in cycle 0",
         ),
-        ([marker_line(0, 99)], "{path}:1: unsupported format_version: 99"),
-        ([["not", "an", "object"]], "{path}:1: expected an object"),
+        ([marker_line(0, 99)], ValueError, "{path}:1: unsupported format_version: 99"),
+        ([["not", "an", "object"]], ValueError, "{path}:1: expected an object"),
     ],
     ids=["marker_gap", "unknown_type", "wrong_cycle", "duplicate", "bad_version", "not_object"],
 )
-def test_history_log_error_messages(tmp_path, lines, message):
+def test_history_log_error_messages(tmp_path, lines, error, message):
     path = tmp_path / "history.jsonl"
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     with pytest.raises((ValueError, DuplicateRecordError)) as info:
         load_history(path)
+    assert type(info.value) is error
     assert str(info.value) == message.format(path=path)
 
 

@@ -142,9 +142,9 @@ def test_tie_break_when_the_incumbent_skips(backend, tb_obligatory, seed, budget
         (make_test("tb", duration=1e-7, obligatory=tb_obligatory), 0.0),
     ]
     packed = PackedInstance(make_instance(tests, [make_agent("a0")], diversity=False))
-    incumbent = np.array(seed, dtype=np.int64)
-    get_kernel(backend)(*search_args(packed, incumbent), np.int64(budget))
-    assert incumbent.tolist() == want
+    args = search_args(packed, seed)
+    get_kernel(backend)(*args, np.int64(budget))
+    assert args.inc_assign.tolist() == want
 
 
 def test_bench_backends_runs():

@@ -302,7 +302,7 @@ def test_ensure_obligatory_coverage_passes_tight_fits():
         [(t0, 0.9), (t1, 0.8)], [make_agent("a0", budget=10.0)]
     )
     assign = ensure_obligatory_coverage(PackedInstance(instance))
-    assert sorted(assign.tolist()) == [0, 0]
+    assert sorted(assign) == [0, 0]
 
 
 def test_infeasible_error_sorts_ids():
@@ -331,8 +331,8 @@ def test_density_order_is_exact_on_ties(seed):
     # Cross-multiplied integer densities: equal ratios keep index order.
     # Test 1 is denser than test 0 by less than one float64 ulp, and the
     # zero-duration test 2 sorts first.
-    prio = np.array([10**17, 2 * 10**17 + 1, 1], dtype=np.int64)
-    dur = np.array([10**17, 2 * 10**17, 0], dtype=np.int64)
+    prio = [10**17, 2 * 10**17 + 1, 1]
+    dur = [10**17, 2 * 10**17, 0]
     assert prio[0] / dur[0] == prio[1] / dur[1]
     assert density_order(prio, dur).tolist() == [2, 1, 0]
     rng = np.random.Generator(np.random.PCG64(seed))

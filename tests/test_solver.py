@@ -89,17 +89,26 @@ def test_solver_raises_on_impossible_obligatory(backend):
     assert err.value.test_ids == ("t1", "t2")
 
 
-def test_empty_instances():
-    no_tests = make_instance([], [make_agent("a0")])
-    got, stats = solve_detailed(no_tests)
-    assert got.assignments == {"a0": ()}
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "tests, agents, want",
+    [
+        ([], [make_agent("a0")], {"a0": ()}),
+        ([(make_test("t0"), 0.5)], [], {}),
+        ([], [], {}),
+    ],
+    ids=["no-tests", "no-agents", "neither"],
+)
+def test_empty_instances(backend, tests, agents, want):
+    # The kernel finishes these searches itself, in one node or more.
+    instance = make_instance(tests, agents)
+    got, stats = solve_detailed(instance, backend=backend)
+    assert got.assignments == want
     assert got.objective == ObjectiveVector(0.0, 0.0, 0.0)
     assert stats.completed
-
-    no_agents = make_instance([(make_test("t0"), 0.5)], [])
-    got, _ = solve_detailed(no_agents)
-    assert got.assignments == {}
-    assert got.objective == ObjectiveVector(0.0, 0.0, 0.0)
+    assert stats.nodes >= 1
+    oracle = schedule_oracle(instance)
+    assert (got.assignments, got.objective) == (oracle.assignments, oracle.objective)
 
 
 def test_no_agents_with_obligatory_is_infeasible():
