@@ -1,25 +1,31 @@
 """Branch-and-bound search kernel with numba and pure-Python backends.
 
-The kernel is one function over int64 arrays and scalars. When numba is
-importable and CISCHED_NO_NUMBA is unset, an njit-compiled copy is built;
-the plain function stays available as the fallback. Both backends execute
-the same bytecode-level logic over integers, so they visit nodes in the
-same order and produce identical incumbents for a given node budget.
+The kernel is one function over flat int64 buffers and int scalars. When
+numba is importable and CISCHED_NO_NUMBA is unset, an njit-compiled copy is
+built; the plain function stays available as the fallback. Both backends
+run the same integer logic over the same buffers, so they visit nodes in
+the same order and produce identical incumbents for a given node budget.
 
 :func:`search_args` is the only builder of kernel inputs: it turns a
-PackedInstance's plain ints into the int64 arrays the kernel reads, so
-greedy never pays for them.
-:func:`warmup` compiles through it, so numba sees the solver's types.
+PackedInstance's plain ints into ``array('q')`` buffers, which CPython
+indexes natively and numba types as int64 buffers, so greedy never pays
+for them. Each test's children are one row of a CSR layout (compressed
+sparse rows): test i's agent columns and their pair staleness sit at
+``child_start[i]`` up to ``child_start[i + 1]`` of ``child_agents`` and
+``child_stale``, so the kernel does no 2-D indexing.
+:func:`warmup` compiles through it, so numba sees the solver's types. The
+numba CI job is the only check that numba compiles the kernel over these
+buffers.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
+from array import array
 from collections import namedtuple
-from typing import Sequence
-
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from cisched.domain import TestAgent, TestCase
 from cisched.priority import PrioritizedTest
@@ -36,9 +42,9 @@ def _search_chunk(
     dur,  # int64[n] duration units
     prio,  # int64[n] priority units
     oblig,  # int64[n] 1 if the test must be assigned
-    child_agents,  # int64[n, >=1] agent columns per test, stalest first
-    child_stale,  # int64[n, >=1] pair staleness units of each child
-    child_counts,  # int64[n]
+    child_start,  # int64[n+1] offset of each test's row in the child arrays
+    child_agents,  # int64[child_start[n]] agent columns per row, stalest first
+    child_stale,  # int64[child_start[n]] pair staleness units of each child
     dens_order,  # int64[n] test indices by exact descending priority density
     suffix_stale,  # int64[n+1] sum of per-test max staleness over tests >= d
     suffix_dur,  # int64[n+1]
@@ -146,19 +152,20 @@ def _search_chunk(
 
         if not back:
             # Descend into the next viable child: compatible agents with
-            # room, stalest first, then skip (child index child_counts[d]).
-            count = child_counts[d]
+            # room, stalest first, then skip (child index count).
+            row = child_start[d]
+            count = child_start[d + 1] - row
             total = count + 1 - oblig[d]
             c = pos[d]
-            while c < count and dur[d] > residual[child_agents[d, c]]:
+            while c < count and dur[d] > residual[child_agents[row + c]]:
                 c += 1
             if c < total:
                 if c < count:
-                    j = child_agents[d, c]
+                    j = child_agents[row + c]
                     assign[d] = j
                     residual[j] -= dur[d]
                     acc[0] += prio[d]
-                    acc[1] += child_stale[d, c]
+                    acc[1] += child_stale[row + c]
                     acc[2] += dur[d]
                 pos[d] = c + 1
                 ctl[0] = d + 1
@@ -174,12 +181,13 @@ def _search_chunk(
                 break
             d -= 1
             ctl[0] = d
+            row = child_start[d]
             c = pos[d] - 1
-            if c < child_counts[d]:
-                j = child_agents[d, c]
+            if c < child_start[d + 1] - row:
+                j = child_agents[row + c]
                 residual[j] += dur[d]
                 acc[0] -= prio[d]
-                acc[1] -= child_stale[d, c]
+                acc[1] -= child_stale[row + c]
                 acc[2] -= dur[d]
                 assign[d] = -1
     return done, nodes
@@ -199,7 +207,11 @@ NUMBA_AVAILABLE = _numba_kernel is not None
 
 
 def resolve_backend(backend: str = "auto") -> str:
-    """Map a backend request to the concrete backend to run."""
+    """Map a backend request to the concrete backend to run.
+
+    Raises ValueError for an unknown backend, and for numba when it cannot
+    run, so callers report both as invalid input.
+    """
     if backend == "auto":
         return "numba" if NUMBA_AVAILABLE else "python"
     if backend == "python":
@@ -207,7 +219,7 @@ def resolve_backend(backend: str = "auto") -> str:
     if backend == "numba":
         if not NUMBA_AVAILABLE:
             reason = "disabled by CISCHED_NO_NUMBA" if NUMBA_DISABLED else "numba is not importable"
-            raise RuntimeError(f"numba backend unavailable: {reason}")
+            raise ValueError(f"numba backend unavailable: {reason}")
         return "numba"
     raise ValueError(f"unknown backend {backend!r}; expected auto, numba, or python")
 
@@ -219,11 +231,11 @@ def get_kernel(backend: str):
     return _search_chunk
 
 
-def _int64(values) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
+def _int64(values: Iterable[int]) -> array:
+    return array("q", values)
 
 
-def density_order(prio: Sequence[int], dur: Sequence[int]) -> np.ndarray:
+def density_order(prio: Sequence[int], dur: Sequence[int]) -> array:
     """Test indices by descending priority per unit time, exactly.
 
     Zero-duration tests come first. The rest sort by the integer key
@@ -239,11 +251,9 @@ def density_order(prio: Sequence[int], dur: Sequence[int]) -> np.ndarray:
     return _int64(free + timed)
 
 
-def _suffix_sums(values: np.ndarray) -> np.ndarray:
+def _suffix_sums(values: Sequence[int]) -> array:
     """int64[n+1] whose entry d is the sum of values[d:]."""
-    out = np.zeros(len(values) + 1, dtype=np.int64)
-    out[:-1] = np.cumsum(values[::-1])[::-1]
-    return out
+    return _int64(accumulate(reversed(values), initial=0))[::-1]
 
 
 SearchArgs = namedtuple("SearchArgs", list(inspect.signature(_search_chunk).parameters)[:-1])
@@ -256,31 +266,33 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     that the kernel overwrites in place whenever it finds a better
     assignment, so callers read the result back from it.
     """
-    n, m = packed.n, packed.m
+    n = packed.n
     # Ranks in sorted-id order, so integer pair comparisons mirror the
     # tie-break on sorted (test id, agent id) string pairs.
     rank_to_idx = sorted(range(n), key=packed.test_ids.__getitem__)
     by_id = {a_id: r for r, a_id in enumerate(sorted(packed.agent_ids))}
     rank = [by_id[a_id] for a_id in packed.agent_ids]
-    # Children per test: compatible agents ordered stalest-first so the
-    # search meets diverse assignments early; skip is implicit last.
-    child_agents = np.full((n, max(m, 1)), -1, dtype=np.int64)
-    child_stale = np.zeros((n, max(m, 1)), dtype=np.int64)
+    # One CSR row of children per test: compatible agents ordered
+    # stalest-first so the search meets diverse assignments early; skip is
+    # implicit last. stalest holds each row's first staleness (0 if empty).
+    child_start, child_agents, child_stale, stalest = [0], [], [], []
     for i, cols in enumerate(packed.compat):
         children = sorted((-packed.stale_units(i, j), rank[j], j) for j in cols)
-        child_agents[i, : len(cols)] = [j for _, _, j in children]
-        child_stale[i, : len(cols)] = [-s for s, _, _ in children]
-    dur, oblig = _int64(packed.dur_us), _int64(packed.oblig)
+        child_agents += [j for _, _, j in children]
+        child_stale += [-s for s, _, _ in children]
+        child_start.append(len(child_agents))
+        stalest.append(-children[0][0] if children else 0)
+    dur, oblig = packed.dur_us, packed.oblig
     return SearchArgs(
-        n, dur, _int64(packed.prio_u), oblig, child_agents, child_stale,
-        _int64([len(cols) for cols in packed.compat]),
-        density_order(packed.prio_u, packed.dur_us),
-        # Column 0 holds each test's stalest child (0 with no child).
-        _suffix_sums(child_stale[:, 0]), _suffix_sums(dur), _suffix_sums(dur * oblig),
-        _int64(rank_to_idx), _int64(rank), np.int64(sum(packed.budget_us)),
+        n, _int64(dur), _int64(packed.prio_u), _int64(oblig),
+        _int64(child_start), _int64(child_agents), _int64(child_stale),
+        density_order(packed.prio_u, dur),
+        _suffix_sums(stalest), _suffix_sums(dur),
+        _suffix_sums([t * o for t, o in zip(dur, oblig)]),
+        _int64(rank_to_idx), _int64(rank), sum(packed.budget_us),
         # Traversal state at the root: pos, assign, residual, acc, ctl.
-        np.zeros(n + 1, dtype=np.int64), np.full(n, -1, dtype=np.int64), _int64(packed.budget_us),
-        np.zeros(3, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        _int64([0] * (n + 1)), _int64([-1] * n), _int64(packed.budget_us),
+        _int64([0, 0, 0]), _int64([0]),
         _int64(incumbent), _int64(packed.objective_units(incumbent)),
     )
 
@@ -294,5 +306,5 @@ def warmup(backend: str = "auto") -> str:
         for i in range(2)
     ]
     packed = PackedInstance(build_instance(tests, [agent], {}, 0))
-    get_kernel(resolved)(*search_args(packed, [-1] * packed.n), np.int64(10_000))
+    get_kernel(resolved)(*search_args(packed, [-1] * packed.n), 10_000)
     return resolved

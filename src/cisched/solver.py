@@ -5,8 +5,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from cisched.kernels import DEFAULT_NODES_PER_MS, get_kernel, resolve_backend, search_args
 from cisched.scheduling import (
     PackedInstance,
@@ -91,14 +89,14 @@ def solve_detailed(
     done = 0
     while used < node_budget:
         step = min(chunk, node_budget - used)
-        done, nodes = kernel(*args, np.int64(step))
-        used += int(nodes)
+        done, nodes = kernel(*args, step)
+        used += nodes
         if done:
             break
         if time.perf_counter() > deadline:
             break
 
-    assign = args.inc_assign.tolist()
+    assign = args.inc_assign
     schedule = packed.assignment_to_schedule(assign)
     check_schedule(schedule, instance)
     if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):

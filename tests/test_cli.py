@@ -130,6 +130,25 @@ def test_schedule_honours_configured_scheduler(tmp_path):
     assert objective("--config", str(config)) == greedy
 
 
+def test_unavailable_backend_exits_1_with_json(tmp_path):
+    # FAST_ENV disables numba, so asking for it is a one-line input error
+    # whether or not numba is installed.
+    repo = small_repo_path(tmp_path)
+    history = tmp_path / "history.jsonl"
+    history.write_text("", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text("solver:\n  backend: numba\n", encoding="utf-8")
+    proc = run_cli(
+        "schedule", "--repo", str(repo), "--history", str(history),
+        "--out", str(tmp_path / "out"), "--config", str(config),
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert "CISCHED_NO_NUMBA" in payload["message"]
+
+
 def test_simulate_generates_and_reports(tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text(

@@ -85,15 +85,15 @@ def test_chunked_search_resumes_exactly(seed):
     for backend in BACKENDS:
         kernel = get_kernel(backend)
         whole = search_args(packed, greedy_assignment(packed))
-        done, used = kernel(*whole, np.int64(budget))
+        done, used = kernel(*whole, budget)
         stepped = search_args(packed, greedy_assignment(packed))
         step_done, step_used = 0, 0
         while step_used < budget and not step_done:
-            step_done, nodes = kernel(*stepped, np.int64(1))
+            step_done, nodes = kernel(*stepped, 1)
             step_used += nodes
         assert (step_done, step_used) == (done, used)
-        assert np.array_equal(stepped.inc_assign, whole.inc_assign)
-        assert np.array_equal(stepped.inc_acc, whole.inc_acc)
+        assert stepped.inc_assign == whole.inc_assign
+        assert stepped.inc_acc == whole.inc_acc
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,10 +104,17 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
     packed = PackedInstance(instance)
     args = search_args(packed, greedy_assignment(packed))
     agent_rank = {a: r for r, a in enumerate(sorted(packed.agent_ids))}
+    # CSR rows: offsets start at 0, never decrease and end at the length of
+    # both flat arrays.
+    starts = list(args.child_start)
+    assert len(starts) == args.n + 1
+    assert starts[0] == 0
+    assert starts[-1] == len(args.child_agents) == len(args.child_stale)
+    assert all(a <= b for a, b in zip(starts, starts[1:]))
     maxima = []
     for i, p in enumerate(instance.prioritized):
-        count = args.child_counts[i]
-        agents = [packed.agent_ids[j] for j in args.child_agents[i, :count]]
+        row = slice(starts[i], starts[i + 1])
+        agents = [packed.agent_ids[j] for j in args.child_agents[row]]
         assert sorted(agents) == sorted(p.test.compatible_agents & set(packed.agent_ids))
         stale = [
             pair_staleness_units(
@@ -116,7 +123,7 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
             ) if diversity else 0
             for a in agents
         ]
-        assert args.child_stale[i, :count].tolist() == stale
+        assert args.child_stale[row].tolist() == stale
         keys = [(-s, agent_rank[a]) for s, a in zip(stale, agents)]
         assert keys == sorted(keys)
         maxima.append(max(stale, default=0))
@@ -143,7 +150,7 @@ def test_tie_break_when_the_incumbent_skips(backend, tb_obligatory, seed, budget
     ]
     packed = PackedInstance(make_instance(tests, [make_agent("a0")], diversity=False))
     args = search_args(packed, seed)
-    get_kernel(backend)(*args, np.int64(budget))
+    get_kernel(backend)(*args, budget)
     assert args.inc_assign.tolist() == want
 
 

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cisched.solver
 from cisched import (
+    HistoryStore,
     InfeasibleError,
     ObjectiveVector,
+    PriorityWeights,
+    WorkloadSpec,
+    build_instance,
+    generate_workload,
+    prioritize_all,
     schedule_greedy,
     schedule_optimal,
     schedule_oracle,
@@ -227,8 +236,62 @@ def test_resolve_backend():
     with pytest.raises(ValueError):
         resolve_backend("cuda")
     if not NUMBA_AVAILABLE:
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             resolve_backend("numba")
+
+
+# sha256 of traversal_outcomes(): schedules, objectives, nodes and
+# completion of the Python kernel at fixed node budgets. A layout or
+# kernel refactor must leave it unchanged; only a deliberate change to the
+# traversal may update it, and must say why.
+PINNED_TRAVERSAL_DIGEST = "46826adc41b8f44bb9308d3d74d854ac8eb65110f7e7621283b100eb44b5c990"
+
+
+def generated_instance(tests: int, agents: int, diversity: bool, seed: int = 3):
+    """A generated workload at cycle 10 with seeded random pair history."""
+    budget = 60.0 * max(1, tests // (10 * agents))
+    spec = WorkloadSpec(tests, agents, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, budget, seed)
+    cases, pool, _ = generate_workload(spec)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = {}
+    for t in cases:
+        for a in pool:
+            if a.id in t.compatible_agents and rng.random() < 0.5:
+                pairs[(t.id, a.id)] = int(rng.integers(0, 10))
+    ranked = prioritize_all(cases, HistoryStore(), PriorityWeights(), 10)
+    # A 100 s budget leaves the node budget as the only stop.
+    return build_instance(
+        ranked, pool, pairs, 10, solver_time_budget_ms=100_000, diversity=diversity
+    )
+
+
+def traversal_outcomes() -> list:
+    rng = np.random.Generator(np.random.PCG64(2026))
+    cases = []
+    for k in range(60):
+        instance = random_instance(rng, 16, 4, max_obligatory=4, min_tests=12)
+        # Every third case without diversity.
+        cases.append((replace(instance, diversity=k % 3 != 0), 3_000))
+    cases += [(generated_instance(200, 4, diversity), 20_000) for diversity in (True, False)]
+    outcomes = []
+    for instance, nodes in cases:
+        try:
+            got, stats = solve_detailed(instance, backend="python", node_budget=nodes)
+        except InfeasibleError as err:
+            outcomes.append(["infeasible", list(err.test_ids)])
+            continue
+        assignments = sorted((a, list(t)) for a, t in got.assignments.items())
+        outcomes.append([assignments, objective_tuple(got), stats.nodes, stats.completed])
+    return outcomes
+
+
+def test_python_traversal_matches_pinned_digest():
+    # Covers searches that the node budget stops, which the oracle
+    # comparison (exhaustive only) and rerun checks cannot see.
+    outcomes = traversal_outcomes()
+    assert [o[3] for o in outcomes[-2:]] == [False, False]
+    got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert got == PINNED_TRAVERSAL_DIGEST
 
 
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba backend unavailable")
