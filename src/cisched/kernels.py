@@ -13,6 +13,21 @@ for them. Each test's children are one row of a CSR layout (compressed
 sparse rows): test i's agent columns and their pair staleness sit at
 ``child_start[i]`` up to ``child_start[i + 1]`` of ``child_agents`` and
 ``child_stale``, so the kernel does no 2-D indexing.
+
+Each fresh node's priority bound is Dantzig's fractional-knapsack bound
+over the undecided tests against the pooled residual capacity (Martello
+and Toth, *Knapsack Problems*, 1990, ch. 2), computed in O(log n) from two
+Fenwick trees (Fenwick, *Softw. Pract. Exp.* 24(3), 1994). ``bit_dur`` and
+``bit_prio`` are indexed by 1-based position in ``dens_order`` and hold
+the duration and the priority of exactly the tests at depth >= ``ctl[0]``:
+every descent from depth d removes test d, and every backtrack to depth d
+adds it back. One binary-lifting descent from ``top`` finds the longest
+density prefix whose duration fits the pool; decided tests weigh 0 there,
+so the test just past that prefix is undecided and is the break item. The
+trees are argument arrays like the rest of the traversal state, so
+chunked calls resume exactly, and an exhausted search leaves them as
+:func:`search_args` built them.
+
 :func:`warmup` compiles through it, so numba sees the solver's types. The
 numba CI job is the only check that numba compiles the kernel over these
 buffers.
@@ -46,6 +61,10 @@ def _search_chunk(
     child_agents,  # int64[child_start[n]] agent columns per row, stalest first
     child_stale,  # int64[child_start[n]] pair staleness units of each child
     dens_order,  # int64[n] test indices by exact descending priority density
+    dens_pos,  # int64[n] 1-based position of each test in dens_order
+    bit_dur,  # int64[n+1] Fenwick tree of undecided durations by density position
+    bit_prio,  # int64[n+1] Fenwick tree of undecided priorities by density position
+    top,  # highest power of two <= n, 0 when n is 0
     suffix_stale,  # int64[n+1] sum of per-test max staleness over tests >= d
     suffix_dur,  # int64[n+1]
     suffix_oblig_dur,  # int64[n+1]
@@ -124,20 +143,24 @@ def _search_chunk(
                 # is pooled: no feasible leaf below this node.
                 back = True
             else:
+                # Dantzig bound: the longest density prefix of undecided
+                # tests that fits the pool, found by one binary-lifting
+                # descent over the trees (decided tests weigh 0).
                 p_bound = acc[0]
                 rem = pool
-                for k in range(n):
-                    i = dens_order[k]
-                    if i < d:
-                        continue
-                    if dur[i] <= rem:
-                        p_bound += prio[i]
-                        rem -= dur[i]
-                    else:
-                        # Whole break item: at least the fractional
-                        # relaxation, which bounds the 0/1 optimum.
-                        p_bound += prio[i]
-                        break
+                k = 0
+                step = top
+                while step > 0:
+                    if k + step <= n and bit_dur[k + step] <= rem:
+                        k += step
+                        rem -= bit_dur[k]
+                        p_bound += bit_prio[k]
+                    step >>= 1
+                if k < n:
+                    # Whole break item: at least the fractional relaxation,
+                    # which bounds the 0/1 optimum. It is undecided, since a
+                    # decided test weighs 0 and would extend the prefix.
+                    p_bound += prio[dens_order[k]]
                 d_bound = acc[1] + suffix_stale[d]
                 t_extra = suffix_dur[d]
                 if pool < t_extra:
@@ -170,6 +193,12 @@ def _search_chunk(
                 pos[d] = c + 1
                 ctl[0] = d + 1
                 pos[d + 1] = 0
+                # Test d is decided now: take it out of the trees.
+                k = dens_pos[d]
+                while k <= n:
+                    bit_dur[k] -= dur[d]
+                    bit_prio[k] -= prio[d]
+                    k += k & -k
             else:
                 back = True
 
@@ -181,6 +210,12 @@ def _search_chunk(
                 break
             d -= 1
             ctl[0] = d
+            # Test d is undecided again: put it back into the trees.
+            k = dens_pos[d]
+            while k <= n:
+                bit_dur[k] += dur[d]
+                bit_prio[k] += prio[d]
+                k += k & -k
             row = child_start[d]
             c = pos[d] - 1
             if c < child_start[d + 1] - row:
@@ -256,6 +291,20 @@ def _suffix_sums(values: Sequence[int]) -> array:
     return _int64(accumulate(reversed(values), initial=0))[::-1]
 
 
+def _fenwick(values: Sequence[int]) -> array:
+    """int64[n+1] Fenwick tree over values[0..n-1] at 1-based positions, in O(n).
+
+    Entry k holds the sum of the positions in (k - (k & -k), k], so a
+    prefix sum or a point update touches O(log n) entries.
+    """
+    tree = _int64([0, *values])
+    for k in range(1, len(tree)):
+        parent = k + (k & -k)
+        if parent < len(tree):
+            tree[parent] += tree[k]
+    return tree
+
+
 SearchArgs = namedtuple("SearchArgs", list(inspect.signature(_search_chunk).parameters)[:-1])
 
 
@@ -275,18 +324,40 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     # One CSR row of children per test: compatible agents ordered
     # stalest-first so the search meets diverse assignments early; skip is
     # implicit last. stalest holds each row's first staleness (0 if empty).
+    # A child sorts by the int (cap - staleness) * m + agent rank, so keys
+    # ascend stalest-first with ties by rank, and // m and % m undo them.
+    # Staleness follows pair_staleness_units in one pass over the pair
+    # history: a pair that never ran has cap, and without diversity all 0.
+    instance = packed.instance
+    cycle, cap, m = instance.current_cycle, instance.staleness_cap, packed.m
+    col = {a_id: j for j, a_id in enumerate(packed.agent_ids)}
+    offsets: dict[str, dict[int, int]] = {}
+    if instance.diversity:
+        for (t_id, a_id), last in instance.pair_last_cycle.items():
+            offsets.setdefault(t_id, {})[col[a_id]] = (cap - min(max(cycle - last, 0), cap)) * m
+    never = 0 if instance.diversity else cap * m
+    col_of_rank = sorted(range(m), key=rank.__getitem__)
     child_start, child_agents, child_stale, stalest = [0], [], [], []
-    for i, cols in enumerate(packed.compat):
-        children = sorted((-packed.stale_units(i, j), rank[j], j) for j in cols)
-        child_agents += [j for _, _, j in children]
-        child_stale += [-s for s, _, _ in children]
+    for t_id, cols in zip(packed.test_ids, packed.compat):
+        offset = offsets.get(t_id, {}).get
+        keys = sorted([offset(j, never) + rank[j] for j in cols])
+        child_agents += [col_of_rank[k % m] for k in keys]
+        child_stale += [cap - k // m for k in keys]
         child_start.append(len(child_agents))
-        stalest.append(-children[0][0] if children else 0)
-    dur, oblig = packed.dur_us, packed.oblig
+        stalest.append(cap - keys[0] // m if keys else 0)
+    dur, prio, oblig = packed.dur_us, packed.prio_u, packed.oblig
+    # Fenwick trees over density positions; at the root every test is
+    # undecided, so they hold all of them.
+    order = density_order(prio, dur)
+    dens_pos = [0] * n
+    for k, i in enumerate(order):
+        dens_pos[i] = k + 1
     return SearchArgs(
-        n, _int64(dur), _int64(packed.prio_u), _int64(oblig),
+        n, _int64(dur), _int64(prio), _int64(oblig),
         _int64(child_start), _int64(child_agents), _int64(child_stale),
-        density_order(packed.prio_u, dur),
+        order, _int64(dens_pos),
+        _fenwick([dur[i] for i in order]), _fenwick([prio[i] for i in order]),
+        1 << (n.bit_length() - 1) if n else 0,
         _suffix_sums(stalest), _suffix_sums(dur),
         _suffix_sums([t * o for t, o in zip(dur, oblig)]),
         _int64(rank_to_idx), _int64(rank), sum(packed.budget_us),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from cisched.kernels import (
     DEFAULT_NODES_PER_MS,
     NUMBA_AVAILABLE,
+    SearchArgs,
     get_kernel,
     resolve_backend,
     search_args,
@@ -94,6 +96,84 @@ def test_chunked_search_resumes_exactly(seed):
         assert (step_done, step_used) == (done, used)
         assert stepped.inc_assign == whole.inc_assign
         assert stepped.inc_acc == whole.inc_acc
+
+
+def whole_seconds(instance):
+    """The instance with durations and budgets rounded to whole seconds.
+
+    Sums of durations then often fill the pooled capacity exactly, the
+    boundary case of the priority bound.
+    """
+    tests = [
+        replace(p, test=replace(p.test, avg_duration=float(max(1, round(p.test.avg_duration)))))
+        for p in instance.prioritized
+    ]
+    agents = [replace(a, budget=float(round(a.budget))) for a in instance.agents]
+    return replace(instance, prioritized=tuple(tests), agents=tuple(agents))
+
+
+def fenwick_prefix(tree, k):
+    total = 0
+    while k:
+        total += tree[k]
+        k -= k & -k
+    return total
+
+
+def linear_scan_bound(args):
+    """The priority bound at the current node by a scan of the density order."""
+    d = args.ctl[0]
+    p_bound, rem = args.acc[0], args.capacity - args.acc[2]
+    for i in args.dens_order:
+        if i < d:
+            continue
+        p_bound += args.prio[i]
+        if args.dur[i] > rem:
+            break
+        rem -= args.dur[i]
+    return p_bound
+
+
+def descends_against(args, inc_priority):
+    """Whether one kernel node from a copy of args descends against an
+    incumbent of that priority (and diversity -1, so equal bounds pass)."""
+    probe = SearchArgs(*(a[:] if isinstance(a, array) else a for a in args))
+    probe.inc_acc[:] = array("q", [inc_priority, -1, -1])
+    get_kernel("python")(*probe, 1)
+    return probe.ctl[0] == args.ctl[0] + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diversity=st.booleans(), whole=st.booleans())
+def test_fenwick_trees_hold_the_undecided_tests(seed, diversity, whole):
+    # Invariant: the trees hold exactly the tests at depth >= ctl[0], in
+    # density positions, whatever node the kernel stopped at.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    instance = replace(random_instance(rng, 12, 4, max_obligatory=4), diversity=diversity)
+    if whole:
+        instance = whole_seconds(instance)
+    packed = PackedInstance(instance)
+    args = search_args(packed, greedy_assignment(packed))
+    kernel = get_kernel("python")
+    done, used = 0, 0
+    while not done and used < 3_000:
+        done, nodes = kernel(*args, int(rng.integers(1, 40)))
+        used += nodes
+        d = args.ctl[0]
+        for k in range(args.n + 1):
+            undecided = [i for i in args.dens_order[:k] if i >= d]
+            assert fenwick_prefix(args.bit_dur, k) == sum(args.dur[i] for i in undecided)
+            assert fenwick_prefix(args.bit_prio, k) == sum(args.prio[i] for i in undecided)
+        if d < args.n and args.pos[d] == 0 and descends_against(args, -1):
+            # A fresh node that the bound does not prune against a
+            # worthless incumbent: the kernel prunes it exactly when the
+            # incumbent's priority exceeds the linear scan's bound.
+            bound = linear_scan_bound(args)
+            assert descends_against(args, bound)
+            assert not descends_against(args, bound + 1)
+    if done:
+        fresh = search_args(packed, greedy_assignment(packed))
+        assert (args.bit_dur, args.bit_prio) == (fresh.bit_dur, fresh.bit_prio)
 
 
 @settings(max_examples=60, deadline=None)

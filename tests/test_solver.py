@@ -294,6 +294,32 @@ def test_python_traversal_matches_pinned_digest():
     assert got == PINNED_TRAVERSAL_DIGEST
 
 
+# sha256 of large_traversal_outcomes(), pinned before the priority bound
+# moved to Fenwick trees; as above, only a deliberate traversal change may
+# update it.
+PINNED_LARGE_TRAVERSAL_DIGEST = "ca1cbb219352e6f396a32c8c2cff49dfe88b3ec7e95238acdb8711b904a7bfdd"
+
+
+def large_traversal_outcomes() -> list:
+    outcomes = []
+    for tests, agents, nodes in ((500, 8, 20_000), (2000, 16, 5_000)):
+        for diversity in (True, False):
+            instance = generated_instance(tests, agents, diversity)
+            got, stats = solve_detailed(instance, backend="python", node_budget=nodes)
+            assignments = sorted((a, list(t)) for a, t in got.assignments.items())
+            outcomes.append([assignments, objective_tuple(got), stats.nodes, stats.completed])
+    return outcomes
+
+
+def test_large_traversal_matches_pinned_digest():
+    # The random cases stop at 16 tests; pin traversal at 500 and 2000
+    # tests too, where the bound's Fenwick trees are many levels deep.
+    outcomes = large_traversal_outcomes()
+    assert [o[2:] for o in outcomes] == [[20_000, False]] * 2 + [[5_000, False]] * 2
+    got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert got == PINNED_LARGE_TRAVERSAL_DIGEST
+
+
 @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba backend unavailable")
 def test_backends_traverse_identically():
     rng = np.random.Generator(np.random.PCG64(4242))
