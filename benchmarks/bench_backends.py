@@ -1,10 +1,9 @@
-"""Measure solver node throughput per backend and suggest calibration values.
+"""Measure the solver's node throughput and suggest a calibration value.
 
 The solver limits effort by node count, converting a cycle's millisecond
 budget through DEFAULT_NODES_PER_MS. This script measures real throughput
-on a deep instance and prints conservative replacement values (half the
-slowest observed run), plus a cross-backend check that both kernels reach
-the same objective under an identical node budget.
+of the Python kernel on a deep instance, packing and seeding included, and
+prints a conservative replacement value (half the slowest observed run).
 
 Usage: python3 benchmarks/bench_backends.py [--tests N] [--agents M] [--seed S]
 """
@@ -24,7 +23,7 @@ from cisched import (
     prioritize_all,
     solve_detailed,
 )
-from cisched.kernels import DEFAULT_NODES_PER_MS, NUMBA_AVAILABLE, warmup
+from cisched.kernels import DEFAULT_NODES_PER_MS
 
 
 def deep_instance(tests: int, agents: int, seed: int):
@@ -51,17 +50,15 @@ def deep_instance(tests: int, agents: int, seed: int):
     return build_instance(ranked, pool, {}, 0)
 
 
-def measure(instance, backend: str, target_ms: int, repeats: int) -> dict:
+def measure(instance, target_ms: int, repeats: int) -> dict:
     """Run the solver a few times and report the worst observed throughput."""
-    warmup(backend)
-    node_budget = DEFAULT_NODES_PER_MS[backend] * target_ms
+    node_budget = DEFAULT_NODES_PER_MS * target_ms
     runs = []
     for _ in range(repeats):
-        _, stats = solve_detailed(instance, backend=backend, node_budget=node_budget)
+        _, stats = solve_detailed(instance, node_budget=node_budget)
         runs.append(stats)
     slowest = min(r.nodes / r.wall_ms for r in runs)
     return {
-        "backend": backend,
         "node_budget": node_budget,
         "nodes": runs[0].nodes,
         "wall_ms": [round(r.wall_ms, 1) for r in runs],
@@ -85,37 +82,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     instance = deep_instance(args.tests, args.agents, args.seed)
-    backends = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
 
     print(f"instance: {args.tests} tests, {args.agents} agents, seed {args.seed}")
-    results = []
-    for backend in backends:
-        r = measure(instance, backend, args.target_ms, args.repeats)
-        results.append(r)
-        print(
-            f"{backend:>7}: {r['nodes']:>10} nodes in {r['wall_ms']} ms"
-            f"  -> {r['throughput']:,.0f} nodes/ms"
-            f"  (budget {r['node_budget']:,}, completed={r['completed']})"
-        )
+    r = measure(instance, args.target_ms, args.repeats)
+    print(
+        f"python: {r['nodes']:>10} nodes in {r['wall_ms']} ms"
+        f"  -> {r['throughput']:,.0f} nodes/ms"
+        f"  (budget {r['node_budget']:,}, completed={r['completed']})"
+    )
 
-    print("\nsuggested DEFAULT_NODES_PER_MS (half the slowest observed run):")
-    for r in results:
-        current = DEFAULT_NODES_PER_MS[r["backend"]]
-        suggested = max(1, int(r["throughput"] / 2))
-        print(f"  {r['backend']:>7}: {suggested:,}  (current {current:,})")
-
-    if NUMBA_AVAILABLE:
-        shared = 200_000
-        objectives = {
-            b: solve_detailed(instance, backend=b, node_budget=shared)[0].objective
-            for b in backends
-        }
-        same = objectives["python"] == objectives["numba"]
-        print(f"\nsame objective at a shared {shared:,}-node budget: {same}")
-        if not same:
-            print(f"  python: {objectives['python']}")
-            print(f"  numba:  {objectives['numba']}")
-            return 1
+    suggested = max(1, int(r["throughput"] / 2))
+    print(
+        f"\nsuggested DEFAULT_NODES_PER_MS (half the slowest observed run): "
+        f"{suggested:,}  (current {DEFAULT_NODES_PER_MS:,})"
+    )
     return 0
 
 

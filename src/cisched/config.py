@@ -9,6 +9,7 @@ from typing import Any, Mapping
 import yaml
 
 from cisched import codec
+from cisched.kernels import resolve_backend
 from cisched.priority import PriorityWeights
 from cisched.simulator import SchedulerKind
 from cisched.workload import WorkloadSpec
@@ -39,8 +40,7 @@ class SolverSettings:
             raise ValueError("time_budget_ms must be >= 1")
         if self.staleness_cap < 1:
             raise ValueError("staleness_cap must be >= 1")
-        if self.backend not in ("auto", "numba", "python"):
-            raise ValueError(f"backend must be auto, numba, or python, got {self.backend!r}")
+        resolve_backend(self.backend)
         if self.nodes_per_ms is not None and self.nodes_per_ms < 1:
             raise ValueError("nodes_per_ms must be >= 1")
 

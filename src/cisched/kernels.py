@@ -1,18 +1,12 @@
-"""Branch-and-bound search kernel with numba and pure-Python backends.
+"""Branch-and-bound search kernel.
 
-The kernel is one function over flat int64 buffers and int scalars. When
-numba is importable and CISCHED_NO_NUMBA is unset, an njit-compiled copy is
-built; the plain function stays available as the fallback. Both backends
-run the same integer logic over the same buffers, so they visit nodes in
-the same order and produce identical incumbents for a given node budget.
-
-:func:`search_args` is the only builder of kernel inputs: it turns a
-PackedInstance's plain ints into ``array('q')`` buffers, which CPython
-indexes natively and numba types as int64 buffers, so greedy never pays
-for them. Each test's children are one row of a CSR layout (compressed
-sparse rows): test i's agent columns and their pair staleness sit at
-``child_start[i]`` up to ``child_start[i + 1]`` of ``child_agents`` and
-``child_stale``, so the kernel does no 2-D indexing.
+The kernel is one pure-Python function over flat int lists and int
+scalars. :func:`search_args` is the only builder of its inputs: it turns a
+PackedInstance's plain ints into lists that the kernel reads and updates
+in place, so greedy never pays for them. Each test's children are one row
+of a CSR layout (compressed sparse rows): test i's agent columns and their
+pair staleness sit at ``child_start[i]`` up to ``child_start[i + 1]`` of
+``child_agents`` and ``child_stale``, so the kernel does no 2-D indexing.
 
 Each fresh node's priority bound is Dantzig's fractional-knapsack bound
 over the undecided tests against the pooled residual capacity (Martello
@@ -23,67 +17,60 @@ the duration and the priority of exactly the tests at depth >= ``ctl[0]``:
 every descent from depth d removes test d, and every backtrack to depth d
 adds it back. One binary-lifting descent from ``top`` finds the longest
 density prefix whose duration fits the pool; decided tests weigh 0 there,
-so the test just past that prefix is undecided and is the break item. The
-trees are argument arrays like the rest of the traversal state, so
-chunked calls resume exactly, and an exhausted search leaves them as
+so the test just past that prefix is undecided and is the break item. When
+no break item remains, every undecided test fits and their total duration
+is what the descent took from the pool, which bounds the used time. The
+trees are argument lists like the rest of the traversal state, so chunked
+calls resume exactly, and an exhausted search leaves them as
 :func:`search_args` built them.
-
-:func:`warmup` compiles through it, so numba sees the solver's types. The
-numba CI job is the only check that numba compiles the kernel over these
-buffers.
 """
 
 from __future__ import annotations
 
 import inspect
-import os
-from array import array
 from collections import namedtuple
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from cisched.domain import TestAgent, TestCase
-from cisched.priority import PrioritizedTest
-from cisched.scheduling import PackedInstance, build_instance
+from cisched.scheduling import PackedInstance
 
 # Node throughput used to convert a wall-clock budget into a deterministic
 # node budget. Calibrated with benchmarks/bench_backends.py; the exact value
 # only shifts how much of the tree an anytime run explores.
-DEFAULT_NODES_PER_MS = {"numba": 14000, "python": 70}
+DEFAULT_NODES_PER_MS = 70
 
 
 def _search_chunk(
     n,
-    dur,  # int64[n] duration units
-    prio,  # int64[n] priority units
-    oblig,  # int64[n] 1 if the test must be assigned
-    child_start,  # int64[n+1] offset of each test's row in the child arrays
-    child_agents,  # int64[child_start[n]] agent columns per row, stalest first
-    child_stale,  # int64[child_start[n]] pair staleness units of each child
-    dens_order,  # int64[n] test indices by exact descending priority density
-    dens_pos,  # int64[n] 1-based position of each test in dens_order
-    bit_dur,  # int64[n+1] Fenwick tree of undecided durations by density position
-    bit_prio,  # int64[n+1] Fenwick tree of undecided priorities by density position
+    dur,  # [n] duration units
+    prio,  # [n] priority units
+    oblig,  # [n] 1 if the test must be assigned
+    child_start,  # [n+1] offset of each test's row in the child lists
+    child_agents,  # [child_start[n]] agent columns per row, stalest first
+    child_stale,  # [child_start[n]] pair staleness units of each child
+    dens_order,  # [n] test indices by exact descending priority density
+    dens_pos,  # [n] 1-based position of each test in dens_order
+    bit_dur,  # [n+1] Fenwick tree of undecided durations by density position
+    bit_prio,  # [n+1] Fenwick tree of undecided priorities by density position
     top,  # highest power of two <= n, 0 when n is 0
-    suffix_stale,  # int64[n+1] sum of per-test max staleness over tests >= d
-    suffix_dur,  # int64[n+1]
-    suffix_oblig_dur,  # int64[n+1]
-    rank_to_idx,  # int64[n] test index holding each sorted-id rank
-    agent_rank,  # int64[m] rank of each agent column in sorted-id order
+    suffix_stale,  # [n+1] sum of per-test max staleness over tests >= d
+    suffix_oblig_dur,  # [n+1] sum of obligatory durations over tests >= d
+    rank_to_idx,  # [n] test index holding each sorted-id rank
+    agent_rank,  # [m] rank of each agent column in sorted-id order
     capacity,  # total budget of all agents
-    pos,  # int64[n+1] next child index per depth (0 = fresh entry)
-    assign,  # int64[n] current partial assignment, -1 = unassigned
-    residual,  # int64[m] remaining budget per agent
-    acc,  # int64[3] accumulated (priority, staleness, time)
-    ctl,  # int64[1] current depth
-    inc_assign,  # int64[n] incumbent assignment
-    inc_acc,  # int64[3] incumbent objective
+    pos,  # [n+1] next child index per depth (0 = fresh entry)
+    assign,  # [n] current partial assignment, -1 = unassigned
+    residual,  # [m] remaining budget per agent
+    acc,  # [3] accumulated (priority, staleness, time)
+    ctl,  # [1] current depth
+    inc_assign,  # [n] incumbent assignment
+    inc_acc,  # [3] incumbent objective
     node_budget,  # max nodes to expand in this call
 ):
     """Resume depth-first search for up to node_budget nodes.
 
     Returns (done, nodes_used). All traversal state lives in the argument
-    arrays, so a call picks up exactly where the previous one stopped.
+    lists, so a call picks up exactly where the previous one stopped.
     """
     nodes = 0
     done = 0
@@ -161,11 +148,12 @@ def _search_chunk(
                     # which bounds the 0/1 optimum. It is undecided, since a
                     # decided test weighs 0 and would extend the prefix.
                     p_bound += prio[dens_order[k]]
+                    t_bound = acc[2] + pool
+                else:
+                    # Every undecided test fits: the descent took their
+                    # total duration from the pool.
+                    t_bound = acc[2] + pool - rem
                 d_bound = acc[1] + suffix_stale[d]
-                t_extra = suffix_dur[d]
-                if pool < t_extra:
-                    t_extra = pool
-                t_bound = acc[2] + t_extra
                 if p_bound != inc_acc[0]:
                     back = p_bound < inc_acc[0]
                 elif d_bound != inc_acc[1]:
@@ -228,49 +216,23 @@ def _search_chunk(
     return done, nodes
 
 
-NUMBA_DISABLED = bool(os.environ.get("CISCHED_NO_NUMBA"))
-_numba_kernel = None
-if not NUMBA_DISABLED:
-    try:
-        import numba
-
-        _numba_kernel = numba.njit(cache=True)(_search_chunk)
-    except ImportError:
-        _numba_kernel = None
-
-NUMBA_AVAILABLE = _numba_kernel is not None
-
-
 def resolve_backend(backend: str = "auto") -> str:
-    """Map a backend request to the concrete backend to run.
+    """The backend that runs a request: always the Python kernel.
 
-    Raises ValueError for an unknown backend, and for numba when it cannot
-    run, so callers report both as invalid input.
+    Raises ValueError for any name but auto or python, so callers report it
+    as invalid input.
     """
-    if backend == "auto":
-        return "numba" if NUMBA_AVAILABLE else "python"
-    if backend == "python":
-        return "python"
-    if backend == "numba":
-        if not NUMBA_AVAILABLE:
-            reason = "disabled by CISCHED_NO_NUMBA" if NUMBA_DISABLED else "numba is not importable"
-            raise ValueError(f"numba backend unavailable: {reason}")
-        return "numba"
-    raise ValueError(f"unknown backend {backend!r}; expected auto, numba, or python")
+    if backend not in ("auto", "python"):
+        raise ValueError(f"backend must be auto or python, got {backend!r}")
+    return "python"
 
 
 def get_kernel(backend: str):
-    resolved = resolve_backend(backend)
-    if resolved == "numba":
-        return _numba_kernel
+    resolve_backend(backend)
     return _search_chunk
 
 
-def _int64(values: Iterable[int]) -> array:
-    return array("q", values)
-
-
-def density_order(prio: Sequence[int], dur: Sequence[int]) -> array:
+def density_order(prio: Sequence[int], dur: Sequence[int]) -> list[int]:
     """Test indices by descending priority per unit time, exactly.
 
     Zero-duration tests come first. The rest sort by the integer key
@@ -283,21 +245,21 @@ def density_order(prio: Sequence[int], dur: Sequence[int]) -> array:
     timed = sorted(
         (i for i in range(len(dur)) if dur[i]), key=lambda i: -((prio[i] << k) // dur[i])
     )
-    return _int64(free + timed)
+    return free + timed
 
 
-def _suffix_sums(values: Sequence[int]) -> array:
-    """int64[n+1] whose entry d is the sum of values[d:]."""
-    return _int64(accumulate(reversed(values), initial=0))[::-1]
+def _suffix_sums(values: Sequence[int]) -> list[int]:
+    """[n+1] list whose entry d is the sum of values[d:]."""
+    return list(accumulate(reversed(values), initial=0))[::-1]
 
 
-def _fenwick(values: Sequence[int]) -> array:
-    """int64[n+1] Fenwick tree over values[0..n-1] at 1-based positions, in O(n).
+def _fenwick(values: Sequence[int]) -> list[int]:
+    """[n+1] Fenwick tree over values[0..n-1] at 1-based positions, in O(n).
 
     Entry k holds the sum of the positions in (k - (k & -k), k], so a
     prefix sum or a point update touches O(log n) entries.
     """
-    tree = _int64([0, *values])
+    tree = [0, *values]
     for k in range(1, len(tree)):
         parent = k + (k & -k)
         if parent < len(tree):
@@ -311,9 +273,10 @@ SearchArgs = namedtuple("SearchArgs", list(inspect.signature(_search_chunk).para
 def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     """Every kernel argument except node_budget, in signature order.
 
-    Every array is built here. ``inc_assign`` is a copy of ``incumbent``
-    that the kernel overwrites in place whenever it finds a better
-    assignment, so callers read the result back from it.
+    The kernel only reads ``dur``, ``prio`` and ``oblig``, so they are the
+    packed lists themselves; every other list is built here. ``inc_assign``
+    is a copy of ``incumbent`` that the kernel overwrites in place whenever
+    it finds a better assignment, so callers read the result back from it.
     """
     n = packed.n
     # Ranks in sorted-id order, so integer pair comparisons mirror the
@@ -353,29 +316,20 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     for k, i in enumerate(order):
         dens_pos[i] = k + 1
     return SearchArgs(
-        n, _int64(dur), _int64(prio), _int64(oblig),
-        _int64(child_start), _int64(child_agents), _int64(child_stale),
-        order, _int64(dens_pos),
+        n, dur, prio, oblig,
+        child_start, child_agents, child_stale,
+        order, dens_pos,
         _fenwick([dur[i] for i in order]), _fenwick([prio[i] for i in order]),
         1 << (n.bit_length() - 1) if n else 0,
-        _suffix_sums(stalest), _suffix_sums(dur),
-        _suffix_sums([t * o for t, o in zip(dur, oblig)]),
-        _int64(rank_to_idx), _int64(rank), sum(packed.budget_us),
+        _suffix_sums(stalest), _suffix_sums([t * o for t, o in zip(dur, oblig)]),
+        rank_to_idx, rank, sum(packed.budget_us),
         # Traversal state at the root: pos, assign, residual, acc, ctl.
-        _int64([0] * (n + 1)), _int64([-1] * n), _int64(packed.budget_us),
-        _int64([0, 0, 0]), _int64([0]),
-        _int64(incumbent), _int64(packed.objective_units(incumbent)),
+        [0] * (n + 1), [-1] * n, list(packed.budget_us),
+        [0, 0, 0], [0],
+        list(incumbent), list(packed.objective_units(incumbent)),
     )
 
 
 def warmup(backend: str = "auto") -> str:
-    """Trigger JIT compilation on a tiny instance; returns the backend used."""
-    resolved = resolve_backend(backend)
-    agent = TestAgent(id="a0", budget=2.0)
-    tests = [
-        PrioritizedTest(TestCase(f"t{i}", 1.0, 0.5, frozenset({"a0"})), 1.0 - 0.5 * i)
-        for i in range(2)
-    ]
-    packed = PackedInstance(build_instance(tests, [agent], {}, 0))
-    get_kernel(resolved)(*search_args(packed, [-1] * packed.n), 10_000)
-    return resolved
+    """The backend a solve would use; the Python kernel needs no compiling."""
+    return resolve_backend(backend)

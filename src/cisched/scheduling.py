@@ -178,8 +178,9 @@ class PackedInstance:
     the instance order (index == column). Every field is a list of plain
     ints; ``compat`` lists each test's compatible agent columns in
     ascending order, and pair staleness is computed on demand by
-    stale_units. The int64 arrays the search reads, including the id
-    ranks of its tie-break, are built by cisched.kernels.search_args.
+    stale_units. The search reads the duration, priority and obligatory
+    lists as they are; every other list it reads, including the id ranks
+    of its tie-break, is built by cisched.kernels.search_args.
     """
 
     def __init__(self, instance: SchedulingInstance) -> None:

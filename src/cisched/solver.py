@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from cisched.kernels import DEFAULT_NODES_PER_MS, get_kernel, resolve_backend, search_args
+from cisched.kernels import DEFAULT_NODES_PER_MS, get_kernel, search_args
 from cisched.scheduling import (
     PackedInstance,
     Schedule,
@@ -31,7 +31,6 @@ class SolveStats:
     nodes: int
     completed: bool
     wall_ms: float
-    backend: str
     node_budget: int
 
 
@@ -53,14 +52,15 @@ def solve_detailed(
     nodes_per_ms: int | None = None,
     node_budget: int | None = None,
 ) -> tuple[Schedule, SolveStats]:
-    """schedule_optimal plus solve statistics and backend control.
+    """schedule_optimal plus solve statistics and effort control.
 
     The effort limit is a node budget: either explicit, or the instance's
-    time budget times the backend's calibrated node throughput. Node budgets
+    time budget times the kernel's calibrated node throughput. Node budgets
     make reruns bit-identical; wall time only backstops miscalibration.
+    ``backend`` must be auto or python; both run the one Python kernel.
     """
-    resolved = resolve_backend(backend)
-    per_ms = DEFAULT_NODES_PER_MS[resolved] if nodes_per_ms is None else nodes_per_ms
+    kernel = get_kernel(backend)
+    per_ms = DEFAULT_NODES_PER_MS if nodes_per_ms is None else nodes_per_ms
     if node_budget is None:
         if per_ms < 1:
             raise ValueError("nodes_per_ms must be >= 1")
@@ -81,7 +81,6 @@ def solve_detailed(
 
     # The kernel improves its own copy of the seed in place.
     args = search_args(packed, incumbent)
-    kernel = get_kernel(resolved)
     chunk = max(int(per_ms) * CHUNK_MS, 1)
     deadline = start + instance.solver_time_budget_ms * WALL_SAFETY_FACTOR / 1000.0
 
@@ -102,4 +101,4 @@ def solve_detailed(
     if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):
         raise RuntimeError("internal error: obligatory test left unassigned")
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return schedule, SolveStats(used, bool(done), wall_ms, resolved, node_budget)
+    return schedule, SolveStats(used, bool(done), wall_ms, node_budget)

@@ -14,9 +14,7 @@ from cisched.codec import FORMAT_VERSION, encode_fields
 
 from helpers import make_agent, make_test, src_env
 
-# The pure-Python backend skips the JIT import and is exact, just slower;
-# plenty for the tiny repositories these tests use.
-FAST_ENV = src_env(CISCHED_NO_NUMBA="1")
+FAST_ENV = src_env()
 
 
 def run_cli(*args, env=None):
@@ -131,8 +129,8 @@ def test_schedule_honours_configured_scheduler(tmp_path):
 
 
 def test_unavailable_backend_exits_1_with_json(tmp_path):
-    # FAST_ENV disables numba, so asking for it is a one-line input error
-    # whether or not numba is installed.
+    # Only the Python kernel exists, so asking for numba is a config error,
+    # reported before any output directory is made.
     repo = small_repo_path(tmp_path)
     history = tmp_path / "history.jsonl"
     history.write_text("", encoding="utf-8")
@@ -145,8 +143,10 @@ def test_unavailable_backend_exits_1_with_json(tmp_path):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     payload = json.loads(proc.stderr)
-    assert payload["error"] == "invalid_input"
-    assert "CISCHED_NO_NUMBA" in payload["message"]
+    assert payload["error"] == "type_mismatch"
+    assert payload["message"].startswith("solver: backend must be")
+    assert "'numba'" in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_generates_and_reports(tmp_path):

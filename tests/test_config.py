@@ -113,6 +113,8 @@ def test_semantic_validation(tmp_path):
         parse_config(None, {"solver.time_budget_ms": 0})
     with pytest.raises(TypeMismatchError):
         parse_config(None, {"solver.backend": "cuda"})
+    with pytest.raises(TypeMismatchError):
+        parse_config(None, {"solver.backend": "numba"})
     with pytest.raises(ValueError):
         parse_config(None, {"priority.decay": 1.5})
     with pytest.raises(ValueError):

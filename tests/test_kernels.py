@@ -1,10 +1,9 @@
-"""Backend selection and the environment kill switch for the JIT path."""
+"""The search kernel: its inputs, resumable state, bound and tie-break."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
-from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,33 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cisched.kernels import (
-    DEFAULT_NODES_PER_MS,
-    NUMBA_AVAILABLE,
-    SearchArgs,
-    get_kernel,
-    resolve_backend,
-    search_args,
-    warmup,
-)
+from cisched.kernels import SearchArgs, get_kernel, search_args, warmup
 from cisched.scheduling import PackedInstance, greedy_assignment, pair_staleness_units
 
 from helpers import make_agent, make_instance, make_test, random_instance, src_env
 
 ROOT = Path(__file__).resolve().parents[1]
-BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
-
-
-def test_default_node_rates_cover_both_backends():
-    assert set(DEFAULT_NODES_PER_MS) == {"numba", "python"}
-    assert all(rate >= 1 for rate in DEFAULT_NODES_PER_MS.values())
-    assert DEFAULT_NODES_PER_MS["numba"] > DEFAULT_NODES_PER_MS["python"]
 
 
 def test_warmup_reports_backend():
     assert warmup("python") == "python"
-    if NUMBA_AVAILABLE:
-        assert warmup("auto") == "numba"
+    assert warmup("auto") == "python"
+    with pytest.raises(ValueError):
+        warmup("numba")
 
 
 def test_get_kernel_python_is_plain_function():
@@ -46,33 +31,6 @@ def test_get_kernel_python_is_plain_function():
     assert callable(kernel)
     with pytest.raises(ValueError):
         get_kernel("cuda")
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "from cisched import kernels; "
-        "print(kernels.NUMBA_DISABLED, kernels.NUMBA_AVAILABLE, "
-        "kernels.resolve_backend('auto'))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=src_env(CISCHED_NO_NUMBA="1"),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False", "python"]
-
-    proc = subprocess.run(
-        [sys.executable, "-c", "from cisched import kernels; kernels.resolve_backend('numba')"],
-        capture_output=True,
-        text=True,
-        env=src_env(CISCHED_NO_NUMBA="1"),
-        timeout=120,
-    )
-    assert proc.returncode != 0
-    assert "CISCHED_NO_NUMBA" in proc.stderr
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,18 +42,17 @@ def test_chunked_search_resumes_exactly(seed):
     instance = random_instance(rng, min_tests=10, max_tests=16, max_agents=4)
     packed = PackedInstance(instance)
     budget = 400
-    for backend in BACKENDS:
-        kernel = get_kernel(backend)
-        whole = search_args(packed, greedy_assignment(packed))
-        done, used = kernel(*whole, budget)
-        stepped = search_args(packed, greedy_assignment(packed))
-        step_done, step_used = 0, 0
-        while step_used < budget and not step_done:
-            step_done, nodes = kernel(*stepped, 1)
-            step_used += nodes
-        assert (step_done, step_used) == (done, used)
-        assert stepped.inc_assign == whole.inc_assign
-        assert stepped.inc_acc == whole.inc_acc
+    kernel = get_kernel("python")
+    whole = search_args(packed, greedy_assignment(packed))
+    done, used = kernel(*whole, budget)
+    stepped = search_args(packed, greedy_assignment(packed))
+    step_done, step_used = 0, 0
+    while step_used < budget and not step_done:
+        step_done, nodes = kernel(*stepped, 1)
+        step_used += nodes
+    assert (step_done, step_used) == (done, used)
+    assert stepped.inc_assign == whole.inc_assign
+    assert stepped.inc_acc == whole.inc_acc
 
 
 def whole_seconds(instance):
@@ -137,8 +94,8 @@ def linear_scan_bound(args):
 def descends_against(args, inc_priority):
     """Whether one kernel node from a copy of args descends against an
     incumbent of that priority (and diversity -1, so equal bounds pass)."""
-    probe = SearchArgs(*(a[:] if isinstance(a, array) else a for a in args))
-    probe.inc_acc[:] = array("q", [inc_priority, -1, -1])
+    probe = SearchArgs(*(a[:] if isinstance(a, list) else a for a in args))
+    probe.inc_acc[:] = [inc_priority, -1, -1]
     get_kernel("python")(*probe, 1)
     return probe.ctl[0] == args.ctl[0] + 1
 
@@ -203,14 +160,13 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
             ) if diversity else 0
             for a in agents
         ]
-        assert args.child_stale[row].tolist() == stale
+        assert args.child_stale[row] == stale
         keys = [(-s, agent_rank[a]) for s, a in zip(stale, agents)]
         assert keys == sorted(keys)
         maxima.append(max(stale, default=0))
-    assert args.suffix_stale.tolist() == [sum(maxima[d:]) for d in range(args.n + 1)]
+    assert args.suffix_stale == [sum(maxima[d:]) for d in range(args.n + 1)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "tb_obligatory, seed, budget, want",
     [
@@ -221,7 +177,7 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
     ],
     ids=["later-pair", "prefix"],
 )
-def test_tie_break_when_the_incumbent_skips(backend, tb_obligatory, seed, budget, want):
+def test_tie_break_when_the_incumbent_skips(tb_obligatory, seed, budget, want):
     # Two worthless tests (0 µs, priority 0, no diversity) tie on every
     # objective, so the sorted (test id, agent id) pair list decides.
     tests = [
@@ -230,8 +186,8 @@ def test_tie_break_when_the_incumbent_skips(backend, tb_obligatory, seed, budget
     ]
     packed = PackedInstance(make_instance(tests, [make_agent("a0")], diversity=False))
     args = search_args(packed, seed)
-    get_kernel(backend)(*args, budget)
-    assert args.inc_assign.tolist() == want
+    get_kernel("python")(*args, budget)
+    assert args.inc_assign == want
 
 
 def test_bench_backends_runs():

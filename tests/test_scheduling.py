@@ -334,7 +334,7 @@ def test_density_order_is_exact_on_ties(seed):
     prio = [10**17, 2 * 10**17 + 1, 1]
     dur = [10**17, 2 * 10**17, 0]
     assert prio[0] / dur[0] == prio[1] / dur[1]
-    assert density_order(prio, dur).tolist() == [2, 1, 0]
+    assert density_order(prio, dur) == [2, 1, 0]
     rng = np.random.Generator(np.random.PCG64(seed))
     instance = random_instance(rng, min_tests=2)
     packed = PackedInstance(instance)

@@ -1,4 +1,4 @@
-"""Branch-and-bound solver: exactness, anytime contract, tie-breaks, backends."""
+"""Branch-and-bound solver: exactness, anytime contract, tie-breaks, traversal."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from cisched import (
     schedule_oracle,
     solve_detailed,
 )
-from cisched.kernels import NUMBA_AVAILABLE, resolve_backend, warmup
+from cisched.kernels import resolve_backend
 from cisched.scheduling import PackedInstance
 
 from helpers import (
@@ -38,23 +38,12 @@ from helpers import (
     zero_tie_instance,
 )
 
-BACKENDS = ["python"] + (["numba"] if NUMBA_AVAILABLE else [])
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    for backend in BACKENDS:
-        warmup(backend)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solver_beats_first_fill_on_trap(backend):
+def test_solver_beats_first_fill_on_trap():
     instance = trap_instance()
-    got, stats = solve_detailed(instance, backend=backend)
+    got, stats = solve_detailed(instance)
     assert got.assignments == {"a0": ("tb", "tc")}
     assert got.objective == ObjectiveVector(0.8, 2.0, 10.0)
     assert stats.completed
-    assert stats.backend == backend
 
 
 def test_schedule_optimal_equals_detailed():
@@ -62,8 +51,7 @@ def test_schedule_optimal_equals_detailed():
     assert schedule_optimal(instance).objective == ObjectiveVector(0.8, 2.0, 10.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solver_covers_obligatory_that_greedy_drops(backend):
+def test_solver_covers_obligatory_that_greedy_drops():
     filler = make_test("t0", duration=10.0)
     must = make_test("t1", duration=10.0, obligatory=True)
     instance = make_instance(
@@ -71,13 +59,12 @@ def test_solver_covers_obligatory_that_greedy_drops(backend):
     )
     greedy = schedule_greedy(instance)
     assert greedy.assigned_tests() == {"t0"}
-    got, _ = solve_detailed(instance, backend=backend)
+    got, _ = solve_detailed(instance)
     assert got.assigned_tests() == {"t1"}
     assert got.objective.total_priority == pytest.approx(0.1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_solver_raises_on_impossible_obligatory(backend):
+def test_solver_raises_on_impossible_obligatory():
     # t0 fits no agent even alone, so it alone is the reported culprit.
     t0 = make_test("t0", duration=20.0, obligatory=True)
     t1 = make_test("t1", duration=6.0, obligatory=True)
@@ -86,7 +73,7 @@ def test_solver_raises_on_impossible_obligatory(backend):
         [(t0, 0.9), (t1, 0.8), (t2, 0.7)], [make_agent("a0", budget=10.0)]
     )
     with pytest.raises(InfeasibleError) as err:
-        solve_detailed(instance, backend=backend)
+        solve_detailed(instance)
     assert err.value.test_ids == ("t0",)
 
     # Joint conflicts have no single culprit: every obligatory id surfaces.
@@ -94,11 +81,10 @@ def test_solver_raises_on_impossible_obligatory(backend):
         [(t1, 0.8), (t2, 0.7)], [make_agent("a0", budget=10.0)]
     )
     with pytest.raises(InfeasibleError) as err:
-        solve_detailed(conflict, backend=backend)
+        solve_detailed(conflict)
     assert err.value.test_ids == ("t1", "t2")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "tests, agents, want",
     [
@@ -108,10 +94,10 @@ def test_solver_raises_on_impossible_obligatory(backend):
     ],
     ids=["no-tests", "no-agents", "neither"],
 )
-def test_empty_instances(backend, tests, agents, want):
+def test_empty_instances(tests, agents, want):
     # The kernel finishes these searches itself, in one node or more.
     instance = make_instance(tests, agents)
-    got, stats = solve_detailed(instance, backend=backend)
+    got, stats = solve_detailed(instance)
     assert got.assignments == want
     assert got.objective == ObjectiveVector(0.0, 0.0, 0.0)
     assert stats.completed
@@ -231,13 +217,11 @@ def test_node_budget_validation():
 
 def test_resolve_backend():
     assert resolve_backend("python") == "python"
-    auto = resolve_backend("auto")
-    assert auto == ("numba" if NUMBA_AVAILABLE else "python")
+    assert resolve_backend("auto") == "python"
     with pytest.raises(ValueError):
         resolve_backend("cuda")
-    if not NUMBA_AVAILABLE:
-        with pytest.raises(ValueError):
-            resolve_backend("numba")
+    with pytest.raises(ValueError):
+        resolve_backend("numba")
 
 
 # sha256 of traversal_outcomes(): schedules, objectives, nodes and
@@ -318,21 +302,6 @@ def test_large_traversal_matches_pinned_digest():
     assert [o[2:] for o in outcomes] == [[20_000, False]] * 2 + [[5_000, False]] * 2
     got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert got == PINNED_LARGE_TRAVERSAL_DIGEST
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba backend unavailable")
-def test_backends_traverse_identically():
-    rng = np.random.Generator(np.random.PCG64(4242))
-    for _ in range(25):
-        instance = random_instance(rng)
-        runs = {}
-        for backend in ("python", "numba"):
-            try:
-                got, stats = solve_detailed(instance, backend=backend)
-                runs[backend] = (got.assignments, got.objective, stats.nodes)
-            except InfeasibleError as err:
-                runs[backend] = err.test_ids
-        assert runs["python"] == runs["numba"]
 
 
 def test_solver_matches_oracle_with_histories():
