@@ -1,7 +1,7 @@
 """Measure the solver's node throughput and suggest a calibration value.
 
 The solver limits effort by node count, converting a cycle's millisecond
-budget through DEFAULT_NODES_PER_MS. This script measures real throughput
+budget through solver.NODES_PER_MS. This script measures real throughput
 of the Python kernel on a deep instance, packing and seeding included, and
 prints a conservative replacement value (half the slowest observed run).
 
@@ -23,7 +23,7 @@ from cisched import (
     prioritize_all,
     solve_detailed,
 )
-from cisched.kernels import DEFAULT_NODES_PER_MS
+from cisched.solver import NODES_PER_MS
 
 
 def deep_instance(tests: int, agents: int, seed: int):
@@ -52,7 +52,7 @@ def deep_instance(tests: int, agents: int, seed: int):
 
 def measure(instance, target_ms: int, repeats: int) -> dict:
     """Run the solver a few times and report the worst observed throughput."""
-    node_budget = DEFAULT_NODES_PER_MS * target_ms
+    node_budget = NODES_PER_MS * target_ms
     runs = []
     for _ in range(repeats):
         _, stats = solve_detailed(instance, node_budget=node_budget)
@@ -93,8 +93,8 @@ def main(argv=None) -> int:
 
     suggested = max(1, int(r["throughput"] / 2))
     print(
-        f"\nsuggested DEFAULT_NODES_PER_MS (half the slowest observed run): "
-        f"{suggested:,}  (current {DEFAULT_NODES_PER_MS:,})"
+        f"\nsuggested solver.NODES_PER_MS (half the slowest observed run): "
+        f"{suggested:,}  (current {NODES_PER_MS:,})"
     )
     return 0
 

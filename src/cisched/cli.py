@@ -220,10 +220,11 @@ def _cmd_schedule(args) -> int:
     if cfg.simulation.scheduler is SchedulerKind.GREEDY:
         schedule = schedule_greedy(instance)
     else:
-        schedule, _ = solve_detailed(
-            instance, backend=cfg.solver.backend, nodes_per_ms=cfg.solver.nodes_per_ms
-        )
+        schedule, _ = solve_detailed(instance, backend=cfg.solver.backend)
     plans = emit_test_plans(schedule, prioritized, active_agents, cycle)
+    # Replace the whole plan set: a stale plan would run its tests again.
+    for stale in (Path(args.out) / f"cycle_{cycle}").glob("plan_*.json"):
+        stale.unlink()
     for plan in plans:
         save_plan(plan, plan_path(args.out, cycle, plan.agent_id))
     durations = {p.test.id: p.test.avg_duration for p in prioritized}
@@ -280,7 +281,6 @@ def _cmd_simulate(args) -> int:
         pair_staleness_cap=cfg.solver.staleness_cap,
         diversity=cfg.solver.diversity,
         backend=cfg.solver.backend,
-        nodes_per_ms=cfg.solver.nodes_per_ms,
     )
     reports = run_simulation(sim_config, tests, agents, args.history)
     _emit(codec.encode(campaign_summary(reports)))

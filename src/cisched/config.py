@@ -33,7 +33,6 @@ class SolverSettings:
     staleness_cap: int = 8
     diversity: bool = True
     backend: str = "auto"
-    nodes_per_ms: int | None = None
 
     def __post_init__(self) -> None:
         if self.time_budget_ms < 1:
@@ -41,8 +40,6 @@ class SolverSettings:
         if self.staleness_cap < 1:
             raise ValueError("staleness_cap must be >= 1")
         resolve_backend(self.backend)
-        if self.nodes_per_ms is not None and self.nodes_per_ms < 1:
-            raise ValueError("nodes_per_ms must be >= 1")
 
 
 @dataclass(frozen=True)

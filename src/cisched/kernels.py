@@ -34,12 +34,6 @@ from typing import Sequence
 
 from cisched.scheduling import PackedInstance
 
-# Node throughput used to convert a wall-clock budget into a deterministic
-# node budget. Calibrated with benchmarks/bench_backends.py; the exact value
-# only shifts how much of the tree an anytime run explores.
-DEFAULT_NODES_PER_MS = 70
-
-
 def _search_chunk(
     n,
     dur,  # [n] duration units

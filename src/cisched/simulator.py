@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +57,6 @@ class SimulationConfig:
     pair_staleness_cap: int = 8
     diversity: bool = True
     backend: str = "auto"
-    nodes_per_ms: int | None = None
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
@@ -130,9 +130,7 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
         schedule = schedule_greedy(instance)
         wall_ms = (time.perf_counter() - t0) * 1000.0
     else:
-        schedule, stats = solve_detailed(
-            instance, backend=cfg.backend, nodes_per_ms=cfg.nodes_per_ms
-        )
+        schedule, stats = solve_detailed(instance, backend=cfg.backend)
         wall_ms = stats.wall_ms
     logger.info("cycle %d: emitting plans for %d tests", cycle, schedule.size)
     plans = emit_test_plans(schedule, prioritized, active_agents, cycle)
@@ -161,9 +159,10 @@ def run_simulation(
     With an out_dir set, each cycle writes its plans, results, and report
     under cycle_<n>/ and appends to history.jsonl before the next cycle
     starts, so partial runs are inspectable and a failed cycle leaves the
-    persisted history exactly as it was. Solver timings go to a separate
-    timings.jsonl: they vary run to run, while everything else is
-    byte-stable for fixed seeds. A run that continues the log at
+    persisted history exactly as it was. Cycle directories an earlier run
+    left from this run's first cycle on are removed first. Solver timings
+    go to a separate timings.jsonl: they vary run to run, while everything
+    else is byte-stable for fixed seeds. A run that continues the log at
     ``history_path`` starts history.jsonl with that log's completed cycles.
     """
     state = SimulationState(
@@ -182,6 +181,11 @@ def run_simulation(
         while prior and (not prior[-1].strip() or json.loads(prior[-1])["type"] != "cycle"):
             prior.pop()
         out.mkdir(parents=True, exist_ok=True)
+        # Lower cycle directories hold the reports of the cycles continued.
+        for stale in out.glob("cycle_*"):
+            n = stale.name[len("cycle_"):]
+            if n.isdecimal() and int(n) >= state.history.current_cycle:
+                shutil.rmtree(stale)
         log_path = out / "history.jsonl"
         timings_path = out / "timings.jsonl"
         log_path.write_text("".join(line + "\n" for line in prior), encoding="utf-8")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from cisched.kernels import DEFAULT_NODES_PER_MS, get_kernel, search_args
+from cisched.kernels import get_kernel, search_args
 from cisched.scheduling import (
     PackedInstance,
     Schedule,
@@ -15,9 +15,10 @@ from cisched.scheduling import (
     greedy_assignment,
 )
 
-# Nominal nodes per kernel call, expressed in milliseconds of calibrated
-# throughput; small enough to keep the wall-clock check responsive.
-CHUNK_MS = 1
+# Calibrated node throughput (benchmarks/bench_backends.py): the node budget
+# is time_budget_ms times this, and each kernel call takes this many nodes,
+# few enough to keep the wall-clock check responsive.
+NODES_PER_MS = 70
 # The wall-clock deadline is a safety net against a badly calibrated node
 # budget, generous so ordinary runs are bounded by the node budget alone
 # and stay deterministic.
@@ -49,22 +50,18 @@ def schedule_optimal(instance: SchedulingInstance) -> Schedule:
 def solve_detailed(
     instance: SchedulingInstance,
     backend: str = "auto",
-    nodes_per_ms: int | None = None,
     node_budget: int | None = None,
 ) -> tuple[Schedule, SolveStats]:
     """schedule_optimal plus solve statistics and effort control.
 
     The effort limit is a node budget: either explicit, or the instance's
-    time budget times the kernel's calibrated node throughput. Node budgets
-    make reruns bit-identical; wall time only backstops miscalibration.
+    time budget times NODES_PER_MS. Node budgets make reruns bit-identical;
+    wall time only backstops miscalibration.
     ``backend`` must be auto or python; both run the one Python kernel.
     """
     kernel = get_kernel(backend)
-    per_ms = DEFAULT_NODES_PER_MS if nodes_per_ms is None else nodes_per_ms
     if node_budget is None:
-        if per_ms < 1:
-            raise ValueError("nodes_per_ms must be >= 1")
-        node_budget = instance.solver_time_budget_ms * per_ms
+        node_budget = instance.solver_time_budget_ms * NODES_PER_MS
     if node_budget < 1:
         raise ValueError("node_budget must be >= 1")
 
@@ -81,13 +78,12 @@ def solve_detailed(
 
     # The kernel improves its own copy of the seed in place.
     args = search_args(packed, incumbent)
-    chunk = max(int(per_ms) * CHUNK_MS, 1)
     deadline = start + instance.solver_time_budget_ms * WALL_SAFETY_FACTOR / 1000.0
 
     used = 0
     done = 0
     while used < node_budget:
-        step = min(chunk, node_budget - used)
+        step = min(NODES_PER_MS, node_budget - used)
         done, nodes = kernel(*args, step)
         used += nodes
         if done:

@@ -40,7 +40,6 @@ from cisched import (
 )
 from cisched.codec import encode
 from cisched.execution import load_plan, load_result, save_plan, save_result
-from cisched.kernels import warmup
 from cisched.reporting import (
     campaign_summary,
     make_cycle_report,
@@ -73,7 +72,6 @@ def criterion(name):
 def test_criterion_1_oracle_equivalence():
     with criterion("criterion 1: exact solver matches exhaustive oracle"):
         start = time.perf_counter()
-        warmup()
         rng = np.random.Generator(np.random.PCG64(0xACC1))
         feasible = infeasible = 0
         for _ in range(200):
@@ -317,7 +315,6 @@ def test_criterion_7_anytime_deadline():
     with criterion("criterion 7: anytime deadline"):
         instance = _anytime_instance()
         assert len(instance.prioritized) == 200
-        warmup()
 
         start = time.perf_counter()
         got, stats = solve_detailed(instance)

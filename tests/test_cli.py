@@ -288,6 +288,56 @@ def test_simulate_continues_a_campaign(tmp_path):
     assert cycle_files(same) == cycle_files(whole)
 
 
+def test_simulate_replaces_an_earlier_runs_cycles(tmp_path):
+    # A shorter run into a reused --out must not leave the longer run's
+    # later cycles for report to count.
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "workload:\n  test_count: 12\n  agent_count: 2\n  budget: 10.0\n"
+        "simulation:\n  scheduler: greedy\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    for cycles, seed in ((6, 3), (3, 4)):
+        proc = run_cli(
+            "simulate", "--config", str(config), "--out", str(out),
+            "--cycles", str(cycles), "--seed", str(seed),
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.glob("cycle_*")) == ["cycle_0", "cycle_1", "cycle_2"]
+    proc = run_cli("report", "--in", str(out), "--out", str(tmp_path / "csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cycles"] == 3
+
+
+def test_schedule_replaces_the_cycles_plan_set(tmp_path):
+    # A plan left for an agent that has since gone inactive must not stay
+    # beside the new plan set.
+    gen = tmp_path / "gen"
+    proc = run_cli("generate-workload", "--out", str(gen), "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    repo = gen / "repository.json"
+    history = tmp_path / "history.jsonl"
+    history.write_text("", encoding="utf-8")
+    out = tmp_path / "plans"
+
+    def schedule():
+        proc = run_cli(
+            "schedule", "--repo", str(repo), "--history", str(history),
+            "--out", str(out), "--scheduler", "greedy",
+        )
+        assert proc.returncode == 0, proc.stderr
+        return sorted(p.name for p in (out / "cycle_0").glob("plan_*.json"))
+
+    assert schedule() == ["plan_agent00.json", "plan_agent01.json", "plan_agent02.json"]
+    document = json.loads(repo.read_text(encoding="utf-8"))
+    for agent in document["agents"]:
+        if agent["id"] == "agent02":
+            agent["active"] = False
+    repo.write_text(json.dumps(document), encoding="utf-8")
+    assert schedule() == ["plan_agent00.json", "plan_agent01.json"]
+
+
 def test_simulate_history_requires_repo(tmp_path):
     proc = run_cli(
         "simulate",
@@ -339,8 +389,7 @@ def test_unknown_config_key_exits_1(tmp_path):
     for section, key, value in [
         ("priority", "decay", 2.0),
         ("solver", "staleness_cap", 0),
-        ("solver", "nodes_per_ms", 0),
-        ("solver", "nodes_per_ms", -3),
+        ("solver", "time_budget_ms", 0),
         ("simulation", "cycles", 0),
         ("simulation", "default_defect_probability", 5.0),
         ("simulation", "jitter_low", 2.0),
@@ -354,6 +403,19 @@ def test_unknown_config_key_exits_1(tmp_path):
         assert payload["error"] == "type_mismatch"
         assert payload["message"].startswith(f"{section}: {key} must be")
         assert not (tmp_path / "x").exists()
+
+
+def test_nodes_per_ms_is_an_unknown_key(tmp_path):
+    # solver.time_budget_ms alone sizes the search, so a throughput key is
+    # rejected like any typo.
+    config = tmp_path / "config.yaml"
+    config.write_text("solver:\n  nodes_per_ms: 70\n", encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "unknown_key"
+    assert "solver.nodes_per_ms" in payload["message"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path):

@@ -33,7 +33,6 @@ def test_defaults_build_without_file():
     assert cfg.priority.history_window == 5
     assert cfg.solver.time_budget_ms == 2000
     assert cfg.solver.backend == "auto"
-    assert cfg.solver.nodes_per_ms is None
     assert cfg.simulation.scheduler is SchedulerKind.OPTIMAL
     assert cfg.simulation.cycles == 1
     assert cfg.workload.test_count == 50
@@ -88,10 +87,10 @@ def test_type_mismatches_are_rejected(tmp_path):
 def test_numeric_coercions():
     cfg = parse_config(None, {"priority.w_static": 1})
     assert cfg.priority.w_static == 1.0
-    cfg = parse_config(None, {"solver.nodes_per_ms": 500})
-    assert cfg.solver.nodes_per_ms == 500
+    cfg = parse_config(None, {"solver.time_budget_ms": 500})
+    assert cfg.solver.time_budget_ms == 500
     with pytest.raises(TypeMismatchError):
-        parse_config(None, {"solver.nodes_per_ms": "many"})
+        parse_config(None, {"solver.time_budget_ms": "many"})
 
 
 def test_missing_file():
@@ -123,8 +122,7 @@ def test_semantic_validation(tmp_path):
     for dotted, value in [
         ("priority.decay", 2.0),
         ("solver.staleness_cap", 0),
-        ("solver.nodes_per_ms", 0),
-        ("solver.nodes_per_ms", -3),
+        ("solver.time_budget_ms", 0),
         ("simulation.cycles", 0),
         ("simulation.default_defect_probability", 5.0),
         ("simulation.jitter_low", 2.0),

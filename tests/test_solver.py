@@ -210,9 +210,38 @@ def test_wall_deadline_stops_within_a_short_kernel_call(monkeypatch):
 def test_node_budget_validation():
     instance = trap_instance()
     with pytest.raises(ValueError):
-        solve_detailed(instance, nodes_per_ms=0)
-    with pytest.raises(ValueError):
         solve_detailed(instance, node_budget=0)
+
+
+def test_time_budget_sizes_the_search(monkeypatch):
+    # The node budget and every kernel call's size come from NODES_PER_MS.
+    asked = []
+    real = cisched.solver.get_kernel
+
+    def recording_kernel(backend):
+        kernel = real(backend)
+
+        def call(*args):
+            asked.append(args[-1])
+            return kernel(*args)
+
+        return call
+
+    # A frozen clock keeps the wall deadline out of the way.
+    monkeypatch.setattr(cisched.solver.time, "perf_counter", lambda: 0.0)
+    monkeypatch.setattr(cisched.solver, "get_kernel", recording_kernel)
+    rng = np.random.Generator(np.random.PCG64(99))
+    instance = random_instance(
+        rng, max_tests=40, min_tests=40, max_agents=4, max_obligatory=0,
+        time_budget_ms=10,
+    )
+    _, stats = solve_detailed(instance)
+    per_ms = cisched.solver.NODES_PER_MS
+    assert stats.node_budget == instance.solver_time_budget_ms * per_ms
+    assert not stats.completed
+    assert len(asked) > 1
+    assert asked[:-1] == [per_ms] * (len(asked) - 1)
+    assert 1 <= asked[-1] <= per_ms
 
 
 def test_resolve_backend():
