@@ -25,7 +25,16 @@ from cisched.domain import (
     save_repository,
     validate_repository,
 )
-from cisched.execution import OutcomeModel, emit_test_plans, load_plan, plan_path, save_plan
+from cisched.execution import (
+    OutcomeModel,
+    cycle_dirs,
+    emit_test_plans,
+    load_plan,
+    plan_path,
+    plan_paths,
+    report_path,
+    save_plan,
+)
 from cisched.priority import prioritize_all
 from cisched.reporting import (
     EmptyCampaignError,
@@ -223,7 +232,7 @@ def _cmd_schedule(args) -> int:
         schedule, _ = solve_detailed(instance, backend=cfg.solver.backend)
     plans = emit_test_plans(schedule, prioritized, active_agents, cycle)
     # Replace the whole plan set: a stale plan would run its tests again.
-    for stale in (Path(args.out) / f"cycle_{cycle}").glob("plan_*.json"):
+    for stale in plan_paths(args.out, cycle):
         stale.unlink()
     for plan in plans:
         save_plan(plan, plan_path(args.out, cycle, plan.agent_id))
@@ -289,16 +298,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
-    # Only finished cycles count: a cycle_<n> directory whose report.json
-    # an interrupted run never wrote, or a foreign cycle_* entry, is skipped.
-    cycle_dirs = sorted(
-        (
-            d for d in in_dir.glob("cycle_*")
-            if d.name[len("cycle_"):].isdecimal() and (d / "report.json").is_file()
-        ),
-        key=lambda d: int(d.name[len("cycle_"):]),
-    )
-    reports = [load_report(d / "report.json") for d in cycle_dirs]
+    # Only finished cycles count: a cycle directory whose report an
+    # interrupted run never wrote, or a foreign entry beside them, is skipped.
+    cycles = [n for n, _ in cycle_dirs(in_dir) if report_path(in_dir, n).is_file()]
+    reports = [load_report(report_path(in_dir, n)) for n in cycles]
     if not reports:
         raise EmptyCampaignError(f"no cycle reports under {in_dir}")
     summary = campaign_summary(reports)
@@ -306,11 +309,7 @@ def _cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if args.format == "csv":
-        plans = [
-            load_plan(path)
-            for d in cycle_dirs
-            for path in sorted(d.glob("plan_*.json"))
-        ]
+        plans = [load_plan(path) for n in cycles for path in plan_paths(in_dir, n)]
         written.extend(str(p) for p in export_plot_data(reports, plans, out))
     else:
         reports_path = out / "reports.json"

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 from cisched import codec
 
@@ -240,18 +241,79 @@ def save_repository(tests: Sequence[TestCase], agents: Sequence[TestAgent], path
     codec.save(Repository(tuple(tests), tuple(agents)), path)
 
 
+def _parse_line(line: str) -> ExecutionRecord | _CycleMarker | None:
+    """One history log line: a record, a cycle marker, or None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    obj = json.loads(line)
+    if type(obj) is not dict:
+        raise ValueError("expected an object")
+    kind = obj.pop("type", None)
+    if kind == "record":
+        return codec.decode_fields(ExecutionRecord, obj)
+    if kind != "cycle":
+        raise ValueError(f"unknown history line type: {kind!r}")
+    return codec.decode(_CycleMarker, obj)
+
+
+def _completed_end(fh: BinaryIO) -> tuple[int, int]:
+    """The cycle after a log's last marker, and the offset where its text ends.
+
+    Reads backward from the end in doubling blocks and stops at the last
+    marker, so the cost does not grow with the log; only the lines after
+    that marker are parsed. A log without a marker gives (0, 0).
+    """
+    end = fh.seek(0, os.SEEK_END)  # no marker from here on
+    block = 4096
+    while end > 0:
+        start = max(0, end - block)
+        fh.seek(start)
+        lines = fh.read(end - start).split(b"\n")
+        # Unless the read began at the start of the file, its first piece may
+        # be the tail of a line; the next, larger read parses it whole.
+        line_end = end
+        for line in reversed(lines[1:] if start else lines):
+            item = _parse_line(line.decode("utf-8"))
+            if isinstance(item, _CycleMarker):
+                return item.cycle + 1, line_end
+            line_end -= len(line) + 1
+        end = start + len(lines[0]) if start else 0
+        block *= 2
+    return 0, 0
+
+
 def append_history(path: str | Path, records: Sequence[ExecutionRecord], completed_cycle: int) -> None:
     """Append one completed cycle (its records plus a completion marker) to a history log.
 
-    A block load_history would reject raises before the file is opened.
+    The block replaces whatever follows the log's last cycle marker: the
+    records of an interrupted cycle are cut, as load_history discards them,
+    and a marker that lacks its final newline gets one. A block
+    load_history would reject, or one whose cycle is not the one after the
+    log's last marker (0 for a missing or marker-less log), raises and
+    leaves the log as it was.
     """
     _check_cycle_block(records, completed_cycle)
-    with open(path, "a", encoding="utf-8") as fh:
-        for r in records:
-            line = {"type": "record", **codec.encode_fields(r)}
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
-        marker = {"type": "cycle", **codec.encode(_CycleMarker(completed_cycle))}
-        fh.write(json.dumps(marker, sort_keys=True) + "\n")
+    try:
+        with open(path, "rb") as fh:
+            next_cycle, end = _completed_end(fh)
+    except FileNotFoundError:
+        next_cycle, end = 0, 0
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if completed_cycle != next_cycle:
+        raise ValueError(
+            f"{path}: cannot append cycle {completed_cycle}, the log's next cycle is {next_cycle}"
+        )
+    lines = [
+        json.dumps({"type": "record", **codec.encode_fields(r)}, sort_keys=True) for r in records
+    ]
+    marker = {"type": "cycle", **codec.encode(_CycleMarker(completed_cycle))}
+    lines.append(json.dumps(marker, sort_keys=True))
+    with open(path, "ab") as fh:
+        # Cut just past the marker's text and rewrite its newline with the block.
+        fh.truncate(end)
+        fh.write((("\n" if end else "") + "\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_history(path: str | Path) -> HistoryStore:
@@ -259,29 +321,24 @@ def load_history(path: str | Path) -> HistoryStore:
 
     Trailing records not followed by their cycle marker belong to an
     interrupted cycle and are discarded, so recovery after a crash is a
-    simple truncation.
+    simple truncation; the next append_history makes that cut in the file.
     """
     store = HistoryStore()
     pending: list[ExecutionRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    # Lines end at "\n" only, as append_history's backward scan splits them.
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
-                if type(obj) is not dict:
-                    raise ValueError("expected an object")
-                kind = obj.pop("type", None)
-                if kind == "record":
-                    pending.append(codec.decode_fields(ExecutionRecord, obj))
+                item = _parse_line(line)
+                if item is None:
                     continue
-                if kind != "cycle":
-                    raise ValueError(f"unknown history line type: {kind!r}")
-                cycle = codec.decode(_CycleMarker, obj).cycle
-                if cycle != store.current_cycle:
+                if type(item) is ExecutionRecord:
+                    pending.append(item)
+                    continue
+                if item.cycle != store.current_cycle:
                     raise ValueError(
-                        f"history cycle marker {cycle} does not match expected {store.current_cycle}"
+                        f"history cycle marker {item.cycle} does not match "
+                        f"expected {store.current_cycle}"
                     )
                 store.add_cycle(pending)
             except DuplicateRecordError as exc:

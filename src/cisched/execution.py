@@ -9,6 +9,7 @@ of the order agents execute in.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -168,12 +169,40 @@ def collect_results(results: Sequence[AgentResult], history: HistoryStore) -> Hi
     return history
 
 
+# A run directory holds one cycle_<n> directory per cycle, n in decimal
+# without leading zeros; these functions alone name its entries.
+_CYCLE_DIR = re.compile(r"cycle_(0|[1-9][0-9]*)")
+
+
+def cycle_dir(out_dir: str | Path, cycle: int) -> Path:
+    return Path(out_dir) / f"cycle_{cycle}"
+
+
+def cycle_dirs(out_dir: str | Path) -> list[tuple[int, Path]]:
+    """The run's cycle directories as (cycle, path), by cycle; other entries are skipped."""
+    found = []
+    for entry in Path(out_dir).glob("cycle_*"):
+        match = _CYCLE_DIR.fullmatch(entry.name)
+        if match:
+            found.append((int(match[1]), entry))
+    return sorted(found)
+
+
 def plan_path(out_dir: str | Path, cycle: int, agent_id: str) -> Path:
-    return Path(out_dir) / f"cycle_{cycle}" / f"plan_{agent_id}.json"
+    return cycle_dir(out_dir, cycle) / f"plan_{agent_id}.json"
+
+
+def plan_paths(out_dir: str | Path, cycle: int) -> list[Path]:
+    """Every plan file of the cycle, by file name."""
+    return sorted(cycle_dir(out_dir, cycle).glob("plan_*.json"))
 
 
 def result_path(out_dir: str | Path, cycle: int, agent_id: str) -> Path:
-    return Path(out_dir) / f"cycle_{cycle}" / f"result_{agent_id}.json"
+    return cycle_dir(out_dir, cycle) / f"result_{agent_id}.json"
+
+
+def report_path(out_dir: str | Path, cycle: int) -> Path:
+    return cycle_dir(out_dir, cycle) / "report.json"
 
 
 def save_plan(plan: TestPlan, path: str | Path) -> None:

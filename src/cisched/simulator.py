@@ -24,9 +24,11 @@ from cisched.execution import (
     OutcomeModel,
     TestPlan,
     collect_results,
+    cycle_dirs,
     emit_test_plans,
     execute_plan,
     plan_path,
+    report_path,
     result_path,
     save_plan,
     save_result,
@@ -163,7 +165,9 @@ def run_simulation(
     left from this run's first cycle on are removed first. Solver timings
     go to a separate timings.jsonl: they vary run to run, while everything
     else is byte-stable for fixed seeds. A run that continues the log at
-    ``history_path`` starts history.jsonl with that log's completed cycles.
+    ``history_path`` starts history.jsonl as a copy of that log's bytes;
+    its first append cuts the records of an interrupted cycle after the
+    last cycle marker, which load_history discards too.
     """
     state = SimulationState(
         tests=list(tests),
@@ -175,20 +179,17 @@ def run_simulation(
     log_path = None
     timings_path = None
     if out is not None:
-        # The input log through its last cycle marker, read before the output
-        # log is truncated: out_dir may hold the input log.
-        prior = Path(history_path).read_text(encoding="utf-8").split("\n") if history_path else []
-        while prior and (not prior[-1].strip() or json.loads(prior[-1])["type"] != "cycle"):
-            prior.pop()
+        # Read before the output log is rewritten: out_dir may hold the input
+        # log. The first append cuts any interrupted cycle the copy ends with.
+        prior = Path(history_path).read_bytes() if history_path else b""
         out.mkdir(parents=True, exist_ok=True)
         # Lower cycle directories hold the reports of the cycles continued.
-        for stale in out.glob("cycle_*"):
-            n = stale.name[len("cycle_"):]
-            if n.isdecimal() and int(n) >= state.history.current_cycle:
+        for n, stale in cycle_dirs(out):
+            if n >= state.history.current_cycle:
                 shutil.rmtree(stale)
         log_path = out / "history.jsonl"
         timings_path = out / "timings.jsonl"
-        log_path.write_text("".join(line + "\n" for line in prior), encoding="utf-8")
+        log_path.write_bytes(prior)
         timings_path.write_text("", encoding="utf-8")
 
     reports: list[CycleReport] = []
@@ -204,7 +205,7 @@ def run_simulation(
                 save_plan(plan, plan_path(out, cycle, plan.agent_id))
             for result in artifacts.results:
                 save_result(result, result_path(out, cycle, result.agent_id))
-            save_report(artifacts.report, out / f"cycle_{cycle}" / "report.json")
+            save_report(artifacts.report, report_path(out, cycle))
             records = []
             for result in sorted(artifacts.results, key=lambda r: r.agent_id):
                 records.extend(result.records)

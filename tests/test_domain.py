@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cisched import (
     DuplicateRecordError,
@@ -23,7 +24,7 @@ from cisched import (
     validate_repository,
 )
 from cisched.codec import FORMAT_VERSION, decode, encode, encode_fields
-from cisched.domain import Repository
+from cisched.domain import Repository, _completed_end
 
 from helpers import history_readers, make_agent, make_test
 
@@ -211,8 +212,8 @@ def test_history_log_discards_interrupted_cycle(tmp_path):
 
 def test_history_log_rejects_marker_gaps(tmp_path):
     path = tmp_path / "history.jsonl"
-    append_history(path, [record("t0", "a0", 0)], 0)
-    append_history(path, [record("t0", "a0", 2)], 2)
+    lines = [record_line("t0", 0), marker_line(0), record_line("t0", 2), marker_line(2)]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(ValueError):
         load_history(path)
 
@@ -224,8 +225,12 @@ def test_history_log_rejects_unknown_line_type(tmp_path):
         load_history(path)
 
 
-def record_line(test_id, cycle):
-    return {"type": "record", **encode_fields(record(test_id, "a0", cycle))}
+def record_dict(r):
+    return {"type": "record", **encode_fields(r)}
+
+
+def record_line(test_id, cycle, outcome=Outcome.PASS):
+    return record_dict(record(test_id, "a0", cycle, outcome))
 
 
 def marker_line(cycle, version=FORMAT_VERSION):
@@ -263,6 +268,157 @@ def test_history_log_error_messages(tmp_path, lines, error, message):
         load_history(path)
     assert type(info.value) is error
     assert str(info.value) == message.format(path=path)
+
+
+def built_store(*blocks):
+    store = HistoryStore()
+    for block in blocks:
+        store.add_cycle(block)
+    return store
+
+
+def assert_log_matches(path, blocks, test_ids):
+    assert history_readers(load_history(path), test_ids) == history_readers(
+        built_store(*blocks), test_ids
+    )
+
+
+@pytest.mark.parametrize("stale_test", ["t0", "t9"], ids=["same_test", "other_test"])
+def test_append_history_retries_an_interrupted_cycle(tmp_path, stale_test):
+    # Cycle 1's first attempt wrote one record and died before its marker.
+    # The retry replaces that attempt: merged with it, a repeated test would
+    # make the log unloadable, and another test would keep a record of a run
+    # that never finished.
+    path = tmp_path / "history.jsonl"
+    first = [record("t0", "a0", 0)]
+    append_history(path, first, 0)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record_line(stale_test, 1)) + "\n")
+    retry = [record("t0", "a1", 1, Outcome.FAIL)]
+    append_history(path, retry, 1)
+    assert_log_matches(path, [first, retry], ["t0", "t9"])
+
+
+def test_append_history_refuses_a_cycle_gap(tmp_path):
+    path = tmp_path / "history.jsonl"
+    first = [record("t0", "a0", 0)]
+    append_history(path, first, 0)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="cannot append cycle 2, the log's next cycle is 1$"):
+        append_history(path, [record("t0", "a0", 2)], 2)
+    assert path.read_bytes() == before
+    assert_log_matches(path, [first], ["t0"])
+    # A missing log takes cycle 0 only, and a refusal does not create it.
+    fresh = tmp_path / "fresh.jsonl"
+    with pytest.raises(ValueError, match="next cycle is 0$"):
+        append_history(fresh, [], 1)
+    assert not fresh.exists()
+
+
+def test_append_history_after_a_marker_without_newline(tmp_path):
+    path = tmp_path / "history.jsonl"
+    first = [record("t0", "a0", 0), record("t1", "a0", 0, Outcome.FAIL)]
+    lines = [record_line("t0", 0), record_line("t1", 0, Outcome.FAIL), marker_line(0)]
+    path.write_text("\n".join(json.dumps(line) for line in lines), encoding="utf-8")
+    second = [record("t1", "a0", 1)]
+    append_history(path, second, 1)
+    assert_log_matches(path, [first, second], ["t0", "t1"])
+    assert path.read_text(encoding="utf-8").count("\n") == 5
+
+
+def test_append_history_cuts_a_long_interrupted_cycle(tmp_path):
+    # The interrupted tail spans several of the backward scan's reads, and a
+    # read boundary falls inside a line.
+    path = tmp_path / "history.jsonl"
+    blocks = [[record(f"t{i}", "a0", c) for i in range(40)] for c in range(3)]
+    for c, block in enumerate(blocks):
+        append_history(path, block, c)
+    completed = path.read_bytes()
+    with open(path, "a", encoding="utf-8") as fh:
+        for i in range(200):
+            fh.write(json.dumps(record_line(f"t{i % 7}", 3)) + "\n\n")
+    last = [record("t5", "a0", 3)]
+    append_history(path, last, 3)
+    assert path.read_bytes().startswith(completed)
+    assert_log_matches(path, blocks + [last], [f"t{i}" for i in range(40)])
+
+
+def test_append_history_refuses_an_unreadable_tail(tmp_path):
+    path = tmp_path / "history.jsonl"
+    append_history(path, [record("t0", "a0", 0)], 0)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"type": "note"}) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="unknown history line type: 'note'$"):
+        append_history(path, [record("t0", "a0", 1)], 1)
+    assert path.read_bytes() == before
+
+
+def test_history_lines_end_only_at_newline(tmp_path):
+    # A lone carriage return does not end a line for either reader, so the
+    # loader and the appender agree on where the last marker is.
+    path = tmp_path / "history.jsonl"
+    text = json.dumps(marker_line(0)) + "\r" + json.dumps(marker_line(1)) + "\n"
+    path.write_text(text, encoding="utf-8")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=":1: Extra data"):
+        load_history(path)
+    with pytest.raises(ValueError, match="Extra data"):
+        append_history(path, [], 2)
+    assert path.read_bytes() == before
+
+
+TEST_IDS = ["t0", "t1", "t2", "t3"]
+
+
+def cycle_rows(unique):
+    row = st.tuples(st.sampled_from(TEST_IDS), st.sampled_from(["a0", "a1"]), st.booleans())
+    if unique:
+        return st.lists(row, max_size=4, unique_by=lambda r: r[0])
+    return st.lists(row, max_size=3)
+
+
+def to_records(rows, cycle):
+    return [record(t, a, cycle, Outcome.FAIL if fail else Outcome.PASS, 1.5) for t, a, fail in rows]
+
+
+@st.composite
+def history_logs(draw):
+    """A log's text and its completed blocks.
+
+    Blank lines may precede any line, 0-3 records of an interrupted cycle
+    follow the last marker, and the final newline may be missing.
+    """
+    block_rows = draw(st.lists(cycle_rows(True), max_size=5))
+    blocks = [to_records(rows, c) for c, rows in enumerate(block_rows)]
+    # The interrupted cycle need not be a valid block: it never got its marker.
+    interrupted = to_records(draw(cycle_rows(False)), len(blocks))
+    lines = []
+    for c, block in enumerate(blocks):
+        lines += [record_dict(r) for r in block] + [marker_line(c)]
+    lines += [record_dict(r) for r in interrupted]
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(["", "\n", "  \n"])) + json.dumps(line, sort_keys=True) + "\n"
+    if text and draw(st.booleans()):
+        text = text[:-1]
+    return text, blocks
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(log=history_logs(), rows=cycle_rows(True))
+def test_append_history_agrees_with_load_history(tmp_path, log, rows):
+    text, blocks = log
+    path = tmp_path / "history.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with open(path, "rb") as fh:
+        next_cycle, _ = _completed_end(fh)
+    assert next_cycle == load_history(path).current_cycle == len(blocks)
+    block = to_records(rows, next_cycle)
+    append_history(path, block, next_cycle)
+    assert_log_matches(path, blocks + [block], TEST_IDS)
 
 
 def test_repository_round_trip(tmp_path):
