@@ -5,7 +5,7 @@ budget through solver.NODES_PER_MS. This script measures real throughput
 of the Python kernel on a deep instance, packing and seeding included, and
 prints a conservative replacement value (half the slowest observed run).
 
-Usage: python3 benchmarks/bench_backends.py [--tests N] [--agents M] [--seed S]
+Usage: python3 benchmarks/calibrate.py [--tests N] [--agents M] [--seed S]
 """
 
 from __future__ import annotations

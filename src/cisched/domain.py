@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -241,14 +244,40 @@ def save_repository(tests: Sequence[TestCase], agents: Sequence[TestAgent], path
     codec.save(Repository(tuple(tests), tuple(agents)), path)
 
 
+_JSON = json.JSONDecoder()
+_RECORD_LINE_KEYS = {"type", *(f.name for f in fields(ExecutionRecord))}
+_OUTCOMES = {o.value: o for o in Outcome}
+
+
 def _parse_line(line: str) -> ExecutionRecord | _CycleMarker | None:
     """One history log line: a record, a cycle marker, or None for a blank line."""
     line = line.strip()
     if not line:
         return None
-    obj = json.loads(line)
+    # raw_decode skips json.loads's wrapper. A line it does not take whole
+    # goes to json.loads, which rejects it with json's usual message.
+    try:
+        obj, end = _JSON.raw_decode(line)
+    except ValueError:
+        end = None
+    if end != len(line):
+        obj = json.loads(line)
     if type(obj) is not dict:
         raise ValueError("expected an object")
+    if obj.keys() == _RECORD_LINE_KEYS and obj["type"] == "record":
+        # The common line, with exact types, skips the codec's generic walk;
+        # any other record takes it below, with its field-named errors.
+        test_id, agent_id, cycle = obj["test_id"], obj["agent_id"], obj["cycle"]
+        outcome, duration = obj["outcome"], obj["actual_duration"]
+        if (
+            type(test_id) is str
+            and type(agent_id) is str
+            and type(cycle) is int
+            and type(duration) is float
+            and type(outcome) is str
+            and outcome in _OUTCOMES
+        ):
+            return ExecutionRecord(test_id, agent_id, cycle, _OUTCOMES[outcome], duration)
     kind = obj.pop("type", None)
     if kind == "record":
         return codec.decode_fields(ExecutionRecord, obj)
@@ -316,20 +345,175 @@ def append_history(path: str | Path, records: Sequence[ExecutionRecord], complet
         fh.write((("\n" if end else "") + "\n".join(lines) + "\n").encode("utf-8"))
 
 
+# Bytes per read while a history log is hashed and replayed, so memory
+# stays flat however long the log grows.
+_READ_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _PairRun:
+    """The last cycle one (test, agent) pair ran, as a checkpoint lists it."""
+
+    test_id: str
+    agent_id: str
+    cycle: int
+
+
+# A test's fail flags as checkpoint text, one letter per result: bytes of
+# the flags (0 or 1) become "p" (pass) or "f" (fail).
+_FLAG_LETTERS = bytes.maketrans(b"\x00\x01", b"pf")
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """A HistoryStore as of a cycle marker, and the log prefix it came from.
+
+    The log's first ``log_bytes`` bytes are ``log_lines`` lines, the last
+    one that marker with its newline, and hash to ``log_sha256``. ``fails``
+    spells each test's results oldest first, "f" for a fail and "p" for a
+    pass. Dicts and the pair list keep the store's insertion order.
+    """
+
+    log_bytes: int
+    log_lines: int
+    log_sha256: str
+    current_cycle: int
+    last: dict[str, int]
+    fails: dict[str, str]
+    pair_last: tuple[_PairRun, ...]
+
+    def __post_init__(self) -> None:
+        for test_id, text in self.fails.items():
+            if text.count("f") + text.count("p") != len(text):
+                raise ValueError(f"fail flags of {test_id!r} hold letters other than f and p")
+
+
+def _read_checkpoint(path: Path) -> _Checkpoint | None:
+    """The checkpoint at path, or None if it is missing or does not decode."""
+    try:
+        return codec.decode(_Checkpoint, json.loads(path.read_bytes()))
+    except (OSError, ValueError, RecursionError):
+        return None
+
+
+def _write_checkpoint(
+    path: Path, store: HistoryStore, log_bytes: int, log_lines: int, digest: str
+) -> None:
+    """Replace the checkpoint atomically; a failed write leaves the old one or none."""
+    checkpoint = _Checkpoint(
+        log_bytes,
+        log_lines,
+        digest,
+        store.current_cycle,
+        store._last,
+        {t: bytes(f).translate(_FLAG_LETTERS).decode("ascii") for t, f in store._fails.items()},
+        tuple(_PairRun(t, a, c) for (t, a), c in store._pair_last.items()),
+    )
+    data = json.dumps(codec.encode(checkpoint), separators=(",", ":")).encode("utf-8")
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        # The checkpoint is a cache: without it the next load replays the
+        # whole log, which is slower but gives the same store.
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _restore(checkpoint: _Checkpoint) -> HistoryStore:
+    store = HistoryStore()
+    store._last = checkpoint.last
+    store._fails = {t: [c == "f" for c in text] for t, text in checkpoint.fails.items()}
+    store._pair_last = {(p.test_id, p.agent_id): p.cycle for p in checkpoint.pair_last}
+    store.current_cycle = checkpoint.current_cycle
+    return store
+
+
+def _hash_prefix(fh: BinaryIO, digest: hashlib._Hash, size: int) -> str | None:
+    """Feed the next size bytes to digest; its hex digest, or None at an early end."""
+    while size > 0:
+        block = fh.read(min(size, _READ_BLOCK))
+        if not block:
+            return None
+        digest.update(block)
+        size -= len(block)
+    return digest.hexdigest()
+
+
 def load_history(path: str | Path) -> HistoryStore:
     """Rebuild a HistoryStore from a record log.
 
     Trailing records not followed by their cycle marker belong to an
     interrupted cycle and are discarded, so recovery after a crash is a
     simple truncation; the next append_history makes that cut in the file.
+
+    A checkpoint beside the log, ``<log>.checkpoint``, holds the store as
+    of a cycle marker and the SHA-256 of the log through that marker's
+    line. When the log still starts with those bytes, only the lines after
+    them are parsed; in every other case the whole log is. A load that
+    parses a cycle marker past the checkpoint rewrites it. The checkpoint
+    is a cache: the store, and every error with its line number, are the
+    same without it.
     """
-    store = HistoryStore()
+    log = Path(path)
+    checkpoint_path = log.with_name(log.name + ".checkpoint")
+    checkpoint = _read_checkpoint(checkpoint_path)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256()
+        if checkpoint is not None and (
+            _hash_prefix(fh, digest, checkpoint.log_bytes) == checkpoint.log_sha256
+        ):
+            store, offset, number = _restore(checkpoint), checkpoint.log_bytes, checkpoint.log_lines
+        else:
+            fh.seek(0)
+            digest = hashlib.sha256()
+            store, offset, number = HistoryStore(), 0, 0
+        mark = _replay(path, fh, store, digest, offset, number)
+    if mark is not None:
+        _write_checkpoint(checkpoint_path, store, *mark)
+    return store
+
+
+def _replay(
+    path: str | Path,
+    fh: BinaryIO,
+    store: HistoryStore,
+    digest: hashlib._Hash,
+    offset: int,
+    number: int,
+) -> tuple[int, int, str] | None:
+    """Parse the log from offset, line number + 1 on, into store.
+
+    digest has taken the log's bytes before offset, and takes the bytes
+    through each cycle marker parsed. Returns the byte count, line count
+    and digest of the log through the last marker parsed, which the store
+    is now at, or None if there is none or it lacks its newline.
+    """
     pending: list[ExecutionRecord] = []
-    # Lines end at "\n" only, as append_history's backward scan splits them.
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for number, line in enumerate(fh, 1):
+    mark = None
+    carry = b""
+    while True:
+        block = fh.read(_READ_BLOCK)
+        buf = carry + block
+        # Lines end at "\n" only, as append_history's backward scan splits them.
+        lines = buf.split(b"\n")
+        if block:
+            carry = lines.pop()
+        elif buf:
+            carry = b""  # the last line, which lacks its newline
+        else:
+            break
+        view = memoryview(buf)
+        pos = hashed = 0
+        for line in lines:
+            number += 1
+            pos += len(line) + 1
             try:
-                item = _parse_line(line)
+                item = _parse_line(line.decode("utf-8"))
                 if item is None:
                     continue
                 if type(item) is ExecutionRecord:
@@ -348,4 +532,11 @@ def load_history(path: str | Path) -> HistoryStore:
             except ValueError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from exc
             pending = []
-    return store
+            digest.update(view[hashed:pos])
+            hashed = pos
+            mark = (offset + pos, number, digest.hexdigest()) if block else None
+        if not block:
+            break
+        digest.update(view[hashed:pos])
+        offset += pos
+    return mark

@@ -15,7 +15,7 @@ from cisched.scheduling import (
     greedy_assignment,
 )
 
-# Calibrated node throughput (benchmarks/bench_backends.py): the node budget
+# Calibrated node throughput (benchmarks/calibrate.py): the node budget
 # is time_budget_ms times this, and each kernel call takes this many nodes,
 # few enough to keep the wall-clock check responsive.
 NODES_PER_MS = 70

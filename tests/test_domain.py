@@ -3,26 +3,38 @@
 from __future__ import annotations
 
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cisched.domain as domain
+import cisched.simulator as simulator
 from cisched import (
     DuplicateRecordError,
     ExecutionRecord,
     HistoryStore,
     Outcome,
+    PriorityWeights,
+    SchedulerKind,
+    SimulationConfig,
+    SimulationState,
     TestAgent,
     TestCase,
     ValidationResult,
     ViolationKind,
+    WorkloadSpec,
     append_history,
     filter_eligible,
+    generate_workload,
     load_history,
     load_repository,
+    run_simulation,
     save_repository,
     validate_repository,
 )
+from cisched.cli import main as cli_main
 from cisched.codec import FORMAT_VERSION, decode, encode, encode_fields
 from cisched.domain import Repository, _completed_end
 
@@ -258,12 +270,55 @@ def marker_line(cycle, version=FORMAT_VERSION):
         ),
         ([marker_line(0, 99)], ValueError, "{path}:1: unsupported format_version: 99"),
         ([["not", "an", "object"]], ValueError, "{path}:1: expected an object"),
+        (
+            [{**record_line("t0", 0), "outcome": "maybe"}],
+            ValueError,
+            "{path}:1: outcome: expected one of ['fail', 'pass'], got 'maybe'",
+        ),
+        (
+            [{**record_line("t0", 0), "outcome": ["pass"]}],
+            ValueError,
+            "{path}:1: outcome: expected str, got list ['pass']",
+        ),
+        (
+            [{**record_line("t0", 0), "cycle": "0"}],
+            ValueError,
+            "{path}:1: cycle: expected int, got str '0'",
+        ),
+        (
+            [{**record_line("t0", 0), "actual_duration": None}],
+            ValueError,
+            "{path}:1: actual_duration: expected float, got NoneType None",
+        ),
+        ([{**record_line("t0", 0), "note": 1}], ValueError, "{path}:1: unknown fields ['note']"),
+        (
+            [{k: v for k, v in record_line("t0", 0).items() if k != "agent_id"}],
+            ValueError,
+            "{path}:1: agent_id: required field is missing",
+        ),
+        (["{} {}"], ValueError, "{path}:1: Extra data: line 1 column 4 (char 3)"),
+        (
+            ["{"],
+            ValueError,
+            "{path}:1: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (
+            ["\ufeff" + json.dumps(marker_line(0))],
+            ValueError,
+            "{path}:1: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
     ],
-    ids=["marker_gap", "unknown_type", "wrong_cycle", "duplicate", "bad_version", "not_object"],
+    ids=[
+        "marker_gap", "unknown_type", "wrong_cycle", "duplicate", "bad_version", "not_object",
+        "unknown_outcome", "outcome_not_str", "cycle_not_int", "null_duration", "extra_field",
+        "missing_field", "extra_data", "bad_json", "bom",
+    ],
 )
 def test_history_log_error_messages(tmp_path, lines, error, message):
+    # A str is a line's raw text; any other value is written as JSON.
     path = tmp_path / "history.jsonl"
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    text = "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises((ValueError, DuplicateRecordError)) as info:
         load_history(path)
     assert type(info.value) is error
@@ -421,6 +476,250 @@ def test_append_history_agrees_with_load_history(tmp_path, log, rows):
     assert_log_matches(path, blocks + [block], TEST_IDS)
 
 
+def checkpoint_of(path):
+    return path.with_name(path.name + ".checkpoint")
+
+
+CHECKPOINT_IDS = ["t0", "t1", "t2", "t9"]
+
+
+def three_cycle_log(path):
+    blocks = [
+        [record("t0", "a0", c), record("t1", "a1", c, Outcome.FAIL if c % 2 else Outcome.PASS)]
+        for c in range(3)
+    ]
+    for c, block in enumerate(blocks):
+        append_history(path, block, c)
+    return blocks
+
+
+def load_outcome(path):
+    """Every reader of the loaded store and its pair order, or the error raised."""
+    try:
+        store = load_history(path)
+    except (ValueError, DuplicateRecordError) as exc:
+        return type(exc), str(exc)
+    return history_readers(store, CHECKPOINT_IDS), list(store.pair_last_cycle())
+
+
+def cold_outcome(path):
+    checkpoint_of(path).unlink(missing_ok=True)
+    return load_outcome(path)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The history lines parsed since the fixture started or was cleared."""
+    calls = []
+    parse = domain._parse_line
+    monkeypatch.setattr(domain, "_parse_line", lambda line: calls.append(line) or parse(line))
+    return calls
+
+
+def edit_checkpoint(path, change):
+    doc = json.loads(checkpoint_of(path).read_text(encoding="utf-8"))
+    change(doc)
+    checkpoint_of(path).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def truncate_log(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index(b"\n", len(data) // 2) + 1])
+
+
+def edit_prefix_byte(path):
+    # One byte inside the checkpointed prefix: the first t1 record becomes t2.
+    data = path.read_bytes()
+    at = data.index(b'"t1"') + 2
+    path.write_bytes(data[:at] + b"2" + data[at + 1 :])
+
+
+def cut_mid_line(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        truncate_log,
+        cut_mid_line,
+        edit_prefix_byte,
+        lambda path: checkpoint_of(path).write_bytes(b"\x00\xff not a checkpoint"),
+        lambda path: edit_checkpoint(path, lambda doc: doc.update(format_version=99)),
+        lambda path: edit_checkpoint(path, lambda doc: doc.update(note=1)),
+        lambda path: edit_checkpoint(path, lambda doc: doc["fails"].update(t0="ppx")),
+    ],
+    ids=[
+        "truncated", "cut_mid_line", "edited_byte", "garbage", "bad_version", "unknown_field",
+        "bad_fail_flag",
+    ],
+)
+def test_load_history_falls_back_to_a_full_replay(tmp_path, parsed, damage):
+    path = tmp_path / "history.jsonl"
+    three_cycle_log(path)
+    load_history(path)
+    assert checkpoint_of(path).exists()
+    damage(path)
+    lines = path.read_bytes().count(b"\n") + (not path.read_bytes().endswith(b"\n"))
+    parsed.clear()
+    outcome = load_outcome(path)
+    assert len(parsed) == lines
+    assert outcome == cold_outcome(path)
+
+
+def test_load_history_replays_only_the_tail_past_the_checkpoint(tmp_path, parsed):
+    path = tmp_path / "history.jsonl"
+    blocks = three_cycle_log(path)
+    load_history(path)
+    before = checkpoint_of(path).read_bytes()
+    # append_history never touches the checkpoint; the next load extends it.
+    block = [record("t2", "a0", 3), record("t0", "a1", 3, Outcome.FAIL)]
+    append_history(path, block, 3)
+    assert checkpoint_of(path).read_bytes() == before
+    parsed.clear()
+    outcome = load_outcome(path)
+    assert len(parsed) == len(block) + 1
+    assert checkpoint_of(path).read_bytes() != before
+    parsed.clear()
+    assert load_outcome(path) == outcome
+    assert parsed == []
+    assert outcome == cold_outcome(path)
+    assert outcome[0] == history_readers(built_store(*blocks, block), CHECKPOINT_IDS)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [{"type": "note"}],
+        [record_line("t0", 3), record_line("t0", 3), marker_line(3)],
+        [record_line("t0", 3), marker_line(4)],
+    ],
+    ids=["unknown_type", "duplicate", "marker_gap"],
+)
+def test_tail_errors_keep_their_line_numbers(tmp_path, tail):
+    path = tmp_path / "history.jsonl"
+    three_cycle_log(path)
+    load_history(path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + "".join(json.dumps(line) + "\n" for line in tail))
+    warm = load_outcome(path)
+    assert checkpoint_of(path).exists()
+    assert warm == cold_outcome(path)
+    # Nine lines for three cycles, then the blank line.
+    assert warm[1].startswith(f"{path}:{10 + len(tail)}: ")
+
+
+def test_load_history_survives_a_failed_checkpoint_write(tmp_path, monkeypatch):
+    path = tmp_path / "history.jsonl"
+    three_cycle_log(path)
+
+    def replace(src, dst):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr("os.replace", replace)
+    outcome = load_outcome(path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["history.jsonl"]
+    assert outcome == cold_outcome(path)
+
+
+def test_checkpoint_stops_at_the_last_marker(tmp_path, parsed):
+    # An interrupted cycle's records are never part of a checkpoint, so its
+    # retry, which cuts them, keeps the checkpointed prefix intact.
+    path = tmp_path / "history.jsonl"
+    blocks = three_cycle_log(path)
+    completed = path.read_bytes()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record_line("t9", 3)) + "\n")
+    load_history(path)
+    doc = json.loads(checkpoint_of(path).read_text(encoding="utf-8"))
+    assert (doc["log_bytes"], doc["log_lines"], doc["current_cycle"]) == (len(completed), 9, 3)
+    assert "t9" not in doc["fails"] and "t9" not in doc["last"]
+    retry = [record("t2", "a0", 3)]
+    append_history(path, retry, 3)
+    parsed.clear()
+    outcome = load_outcome(path)
+    assert len(parsed) == 2
+    assert outcome[0] == history_readers(built_store(*blocks, retry), CHECKPOINT_IDS)
+    assert outcome == cold_outcome(path)
+
+
+def test_a_marker_without_its_newline_is_not_checkpointed(tmp_path):
+    # append_history rewrites that newline, so the checkpoint would never
+    # match; the append makes the marker checkpointable.
+    path = tmp_path / "history.jsonl"
+    blocks = three_cycle_log(path)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    assert load_outcome(path) == cold_outcome(path)
+    assert not checkpoint_of(path).exists()
+    block = [record("t2", "a0", 3)]
+    append_history(path, block, 3)
+    assert load_outcome(path)[0] == history_readers(built_store(*blocks, block), CHECKPOINT_IDS)
+    assert checkpoint_of(path).exists()
+
+
+def test_checkpoint_matches_the_simulators_store_at_scale(tmp_path, monkeypatch, capsys):
+    # A 100-cycle greedy campaign at 200x4: the cold, warm and warm-plus-one
+    # loads agree with the store the simulator kept in memory, and schedule
+    # writes the same plans and output from each.
+    tests, agents, model = generate_workload(
+        WorkloadSpec(200, 4, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, 300.0, 3)
+    )
+    states = []
+
+    def keep_state(**fields):
+        states.append(SimulationState(**fields))
+        return states[-1]
+
+    monkeypatch.setattr(simulator, "SimulationState", keep_state)
+    # Only the log is under test; skipping the cycle files halves the run.
+    for saver in ("save_plan", "save_result", "save_report"):
+        monkeypatch.setattr(simulator, saver, lambda *args: None)
+    out = tmp_path / "run"
+    run_simulation(
+        SimulationConfig(100, SchedulerKind.GREEDY, PriorityWeights(), model, out_dir=str(out)),
+        tests,
+        agents,
+    )
+    memory = states[0].history
+    path = out / "history.jsonl"
+    repo, config = tmp_path / "repository.json", tmp_path / "config.yaml"
+    save_repository(tests, agents, repo)
+    config.write_text("solver:\n  time_budget_ms: 20\n", encoding="utf-8")
+    test_ids = [t.id for t in tests]
+
+    def readers(store):
+        return history_readers(store, test_ids), list(store.pair_last_cycle().items())
+
+    def schedule(name, warm):
+        if not warm:
+            checkpoint_of(path).unlink()
+        plans = tmp_path / name
+        argv = ["schedule", "--repo", str(repo), "--history", str(path), "--config", str(config)]
+        assert cli_main([*argv, "--out", str(plans)]) == 0
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in plans.rglob("*.json")}
+
+    assert not checkpoint_of(path).exists()
+    assert readers(load_history(path)) == readers(memory)
+    assert checkpoint_of(path).exists()
+    assert readers(load_history(path)) == readers(memory)
+    assert schedule("warm", True) == schedule("cold", False)
+
+    # One more cycle, appended as an external executor would.
+    stale = checkpoint_of(path).read_bytes()
+    cycle = memory.current_cycle
+    block = [
+        record(t.id, min(t.compatible_agents), cycle, Outcome.FAIL if i % 3 else Outcome.PASS)
+        for i, t in enumerate(tests[::2])
+    ]
+    memory.add_cycle(block)
+    append_history(path, block, cycle)
+    assert readers(load_history(path)) == readers(memory)
+    checkpoint_of(path).write_bytes(stale)
+    assert schedule("plus_one", True) == schedule("plus_one_cold", False)
+
+
 def test_repository_round_trip(tmp_path):
     tests = [
         make_test("t0", duration=2.5, static=0.75, agents=("a0", "a1"), obligatory=True),
@@ -453,3 +752,13 @@ def test_repository_rejects_unknown_fields():
     del bad["tests"][0]["avg_duration"]
     with pytest.raises(ValueError, match="avg_duration"):
         decode(Repository, bad, version_optional=True)
+
+
+def test_history_load_script_runs(capsys):
+    # The measurement ROADMAP item 7 cites must keep running.
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "history_load.py"
+    main = runpy.run_path(str(script))["main"]
+    assert main(["--cycles", "3", "6", "--tests", "12", "--agents", "2", "--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "warm+1 / warm: 3: " in out
+    assert "schedule / schedule at 3 cycles: 6: " in out

@@ -190,9 +190,9 @@ def test_tie_break_when_the_incumbent_skips(tb_obligatory, seed, budget, want):
     assert args.inc_assign == want
 
 
-def test_bench_backends_runs():
+def test_calibrate_runs():
     # The calibration tool the README points to must keep running.
-    script = str(ROOT / "benchmarks" / "bench_backends.py")
+    script = str(ROOT / "benchmarks" / "calibrate.py")
     args = ["--tests", "30", "--agents", "3", "--repeats", "1", "--target-ms", "20"]
     proc = subprocess.run(
         [sys.executable, script, *args],
