@@ -6,8 +6,9 @@ import contextlib
 import hashlib
 import json
 import os
+import stat
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -244,40 +245,14 @@ def save_repository(tests: Sequence[TestCase], agents: Sequence[TestAgent], path
     codec.save(Repository(tuple(tests), tuple(agents)), path)
 
 
-_JSON = json.JSONDecoder()
-_RECORD_LINE_KEYS = {"type", *(f.name for f in fields(ExecutionRecord))}
-_OUTCOMES = {o.value: o for o in Outcome}
-
-
 def _parse_line(line: str) -> ExecutionRecord | _CycleMarker | None:
     """One history log line: a record, a cycle marker, or None for a blank line."""
     line = line.strip()
     if not line:
         return None
-    # raw_decode skips json.loads's wrapper. A line it does not take whole
-    # goes to json.loads, which rejects it with json's usual message.
-    try:
-        obj, end = _JSON.raw_decode(line)
-    except ValueError:
-        end = None
-    if end != len(line):
-        obj = json.loads(line)
+    obj = json.loads(line)
     if type(obj) is not dict:
         raise ValueError("expected an object")
-    if obj.keys() == _RECORD_LINE_KEYS and obj["type"] == "record":
-        # The common line, with exact types, skips the codec's generic walk;
-        # any other record takes it below, with its field-named errors.
-        test_id, agent_id, cycle = obj["test_id"], obj["agent_id"], obj["cycle"]
-        outcome, duration = obj["outcome"], obj["actual_duration"]
-        if (
-            type(test_id) is str
-            and type(agent_id) is str
-            and type(cycle) is int
-            and type(duration) is float
-            and type(outcome) is str
-            and outcome in _OUTCOMES
-        ):
-            return ExecutionRecord(test_id, agent_id, cycle, _OUTCOMES[outcome], duration)
     kind = obj.pop("type", None)
     if kind == "record":
         return codec.decode_fields(ExecutionRecord, obj)
@@ -397,9 +372,13 @@ def _read_checkpoint(path: Path) -> _Checkpoint | None:
 
 
 def _write_checkpoint(
-    path: Path, store: HistoryStore, log_bytes: int, log_lines: int, digest: str
+    path: Path, mode: int, store: HistoryStore, log_bytes: int, log_lines: int, digest: str
 ) -> None:
-    """Replace the checkpoint atomically; a failed write leaves the old one or none."""
+    """Replace the checkpoint atomically; a failed write leaves the old one or none.
+
+    The checkpoint takes the log's read and write permissions (mode), so
+    every account that can read the log can read it too.
+    """
     checkpoint = _Checkpoint(
         log_bytes,
         log_lines,
@@ -414,6 +393,7 @@ def _write_checkpoint(
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode) & 0o666)
             fh.write(data)
         os.replace(tmp, path)
     except OSError:
@@ -457,24 +437,29 @@ def load_history(path: str | Path) -> HistoryStore:
     them are parsed; in every other case the whole log is. A load that
     parses a cycle marker past the checkpoint rewrites it. The checkpoint
     is a cache: the store, and every error with its line number, are the
-    same without it.
+    same without it. A log that is not a regular file, such as a pipe, is
+    read forward once and gets no checkpoint.
     """
     log = Path(path)
     checkpoint_path = log.with_name(log.name + ".checkpoint")
-    checkpoint = _read_checkpoint(checkpoint_path)
     with open(path, "rb") as fh:
+        # Only a regular file can be read again from its start, and only
+        # beside one does a checkpoint describe the bytes read; a pipe or
+        # other stream is read forward once, without a checkpoint.
+        mode = os.fstat(fh.fileno()).st_mode
+        checkpoint = _read_checkpoint(checkpoint_path) if stat.S_ISREG(mode) else None
         digest = hashlib.sha256()
-        if checkpoint is not None and (
-            _hash_prefix(fh, digest, checkpoint.log_bytes) == checkpoint.log_sha256
-        ):
-            store, offset, number = _restore(checkpoint), checkpoint.log_bytes, checkpoint.log_lines
-        else:
-            fh.seek(0)
-            digest = hashlib.sha256()
-            store, offset, number = HistoryStore(), 0, 0
+        store, offset, number = HistoryStore(), 0, 0
+        if checkpoint is not None:
+            if _hash_prefix(fh, digest, checkpoint.log_bytes) == checkpoint.log_sha256:
+                store, offset = _restore(checkpoint), checkpoint.log_bytes
+                number = checkpoint.log_lines
+            else:
+                fh.seek(0)
+                digest = hashlib.sha256()
         mark = _replay(path, fh, store, digest, offset, number)
-    if mark is not None:
-        _write_checkpoint(checkpoint_path, store, *mark)
+    if mark is not None and stat.S_ISREG(mode):
+        _write_checkpoint(checkpoint_path, mode, store, *mark)
     return store
 
 
