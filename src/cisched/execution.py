@@ -112,6 +112,16 @@ def _entry_seed(label: str) -> int:
     return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "big")
 
 
+def _words(value: int) -> list[int]:
+    """value as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def execute_plan(plan: TestPlan, outcome_model: OutcomeModel) -> AgentResult:
     """Run one agent's plan against the outcome model.
 
@@ -121,13 +131,14 @@ def execute_plan(plan: TestPlan, outcome_model: OutcomeModel) -> AgentResult:
     """
     records = []
     log_lines = []
+    # SeedSequence turns an int tuple into these words itself; handing it
+    # the uint32 array gives the same stream without the per-int coercion.
+    head = _words(outcome_model.seed) + _words(_entry_seed(plan.agent_id)) + _words(plan.cycle)
+    lo, hi = outcome_model.duration_jitter
     for entry in plan.entries:
-        ss = np.random.SeedSequence(
-            (outcome_model.seed, _entry_seed(plan.agent_id), plan.cycle, _entry_seed(entry.test_id))
-        )
-        rng = np.random.Generator(np.random.PCG64(ss))
+        entropy = np.array(head + _words(_entry_seed(entry.test_id)), dtype=np.uint32)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
         failed = rng.random() < outcome_model.probability_for(entry.test_id)
-        lo, hi = outcome_model.duration_jitter
         actual = entry.planned_duration * rng.uniform(lo, hi)
         outcome = Outcome.FAIL if failed else Outcome.PASS
         records.append(

@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import Sequence
 
-from cisched.scheduling import PackedInstance
+from cisched.scheduling import PackedInstance, density_order
 
 def _search_chunk(
     n,
@@ -224,22 +224,6 @@ def resolve_backend(backend: str = "auto") -> str:
 def get_kernel(backend: str):
     resolve_backend(backend)
     return _search_chunk
-
-
-def density_order(prio: Sequence[int], dur: Sequence[int]) -> list[int]:
-    """Test indices by descending priority per unit time, exactly.
-
-    Zero-duration tests come first. The rest sort by the integer key
-    floor(p * 2**k / t): two distinct densities differ by at least
-    1 / (t1 * t2) > 2**-k, so their keys differ too and float rounding can
-    never reorder them. Equal densities keep index order.
-    """
-    k = 2 * max(dur, default=0).bit_length()
-    free = [i for i in range(len(dur)) if dur[i] == 0]
-    timed = sorted(
-        (i for i in range(len(dur)) if dur[i]), key=lambda i: -((prio[i] << k) // dur[i])
-    )
-    return free + timed
 
 
 def _suffix_sums(values: Sequence[int]) -> list[int]:

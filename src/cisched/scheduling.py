@@ -1,4 +1,4 @@
-"""Scheduling types, exact objective arithmetic, and the greedy first-fill baseline."""
+"""Scheduling types, exact objective arithmetic, the greedy first-fill baseline and the density-order fill."""
 
 from __future__ import annotations
 
@@ -215,14 +215,17 @@ class PackedInstance:
 
     def objective_units(self, assign: Sequence[int]) -> tuple[int, int, int]:
         """Exact objective sums for an assignment (test index -> column or -1)."""
-        prio = stale = time = 0
-        for i in range(self.n):
-            j = assign[i]
-            if j >= 0:
-                prio += self.prio_u[i]
-                stale += self.stale_units(i, j)
-                time += self.dur_us[i]
-        return prio, stale, time
+        placed = [i for i, j in enumerate(assign) if j >= 0]
+        instance = self.instance
+        stale = 0
+        if instance.diversity:
+            # stale_units without its per-pair method call: a solve sums
+            # four assignments, two seeds included.
+            last, cycle, cap = instance.pair_last_cycle, instance.current_cycle, instance.staleness_cap
+            t_ids, a_ids = self.test_ids, self.agent_ids
+            stale = sum([pair_staleness_units(t_ids[i], a_ids[assign[i]], last, cycle, cap) for i in placed])
+        prio, dur = self.prio_u, self.dur_us
+        return sum([prio[i] for i in placed]), stale, sum([dur[i] for i in placed])
 
     def assignment_to_schedule(self, assign: Sequence[int]) -> Schedule:
         assignments: dict[str, list[str]] = {a_id: [] for a_id in self.agent_ids}
@@ -264,8 +267,8 @@ def schedule_greedy(instance: SchedulingInstance) -> Schedule:
     """First-fill baseline: per agent, assign the highest-priority tests that still fit.
 
     Agents are visited in instance order; obligatory tests get no special
-    treatment. This is the seed and the lexicographic lower bound for the
-    optimizing solver.
+    treatment. This is one of the optimizing solver's seeds and its
+    lexicographic lower bound.
     """
     packed = PackedInstance(instance)
     assign = greedy_assignment(packed)
@@ -360,4 +363,52 @@ def greedy_assignment(
             if assign[i] < 0 and dur[i] <= residual[j]:
                 assign[i] = j
                 residual[j] -= dur[i]
+    return assign
+
+
+def density_order(prio: Sequence[int], dur: Sequence[int]) -> list[int]:
+    """Test indices by descending priority per unit time, exactly.
+
+    Zero-duration tests come first. The rest sort by the integer key
+    floor(p * 2**k / t): two distinct densities differ by at least
+    1 / (t1 * t2) > 2**-k, so their keys differ too and float rounding can
+    never reorder them. Equal densities keep index order.
+    """
+    k = 2 * max(dur, default=0).bit_length()
+    free = [i for i in range(len(dur)) if dur[i] == 0]
+    timed = sorted(
+        (i for i in range(len(dur)) if dur[i]), key=lambda i: -((prio[i] << k) // dur[i])
+    )
+    return free + timed
+
+
+def density_assignment(
+    packed: PackedInstance,
+    initial_assign: Sequence[int] | None = None,
+) -> list[int]:
+    """Density-order fill on the packed form, optionally completing a partial assignment.
+
+    Obligatory tests go first, then the rest, each group in density_order
+    (the greedy heuristic of the knapsack relaxation; Martello and Toth,
+    *Knapsack Problems*, 1990). Each test goes to its roomiest compatible
+    agent that still has room, the lowest column on ties.
+    """
+    assign = [-1] * packed.n if initial_assign is None else list(initial_assign)
+    dur = packed.dur_us
+    residual = list(packed.budget_us)
+    for i, j in enumerate(assign):
+        if j >= 0:
+            residual[j] -= dur[i]
+    order = density_order(packed.prio_u, dur)
+    oblig = packed.oblig
+    for i in [i for i in order if oblig[i]] + [i for i in order if not oblig[i]]:
+        if assign[i] < 0:
+            # The first column with the most room of at least dur[i].
+            best, most = -1, dur[i] - 1
+            for j in packed.compat[i]:
+                if residual[j] > most:
+                    best, most = j, residual[j]
+            if best >= 0:
+                assign[i] = best
+                residual[best] -= dur[i]
     return assign

@@ -215,6 +215,8 @@ def run_simulation(
                 "solver_wall_time_ms": artifacts.wall_ms,
                 "nodes": artifacts.stats.nodes if artifacts.stats else 0,
                 "completed": artifacts.stats.completed if artifacts.stats else True,
+                # A greedy cycle's schedule is the first-fill itself.
+                "seed": artifacts.stats.seed if artifacts.stats else "greedy",
             }
             with open(timings_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(timing, sort_keys=True) + "\n")

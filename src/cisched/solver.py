@@ -11,6 +11,7 @@ from cisched.scheduling import (
     Schedule,
     SchedulingInstance,
     check_schedule,
+    density_assignment,
     ensure_obligatory_coverage,
     greedy_assignment,
 )
@@ -27,12 +28,18 @@ WALL_SAFETY_FACTOR = 10
 
 @dataclass(frozen=True)
 class SolveStats:
-    """How a solve went: effort spent and whether the search finished."""
+    """How a solve went: effort spent, whether the search finished, and its seed.
+
+    ``seed`` names the search's starting point: ``greedy`` (first-fill),
+    ``reseed`` (first-fill completing the obligatory placement) or
+    ``density`` (the density-order fill).
+    """
 
     nodes: int
     completed: bool
     wall_ms: float
     node_budget: int
+    seed: str
 
 
 def schedule_optimal(instance: SchedulingInstance) -> Schedule:
@@ -69,12 +76,9 @@ def solve_detailed(
     # scheduler's wall time does.
     start = time.perf_counter()
     packed = PackedInstance(instance)
-    incumbent = greedy_assignment(packed)
-    if any(packed.oblig[i] and incumbent[i] < 0 for i in range(packed.n)):
-        # Greedy can starve obligatory tests; reseed from an exact placement
-        # of just those, then fill the rest greedily.
-        base = ensure_obligatory_coverage(packed)
-        incumbent = greedy_assignment(packed, initial_assign=base)
+    # The better seed on the full objective; max keeps greedy's on a tie,
+    # so the seed is never below greedy.
+    seed, incumbent = max(seed_candidates(packed), key=lambda c: packed.objective_units(c[1]))
 
     # The kernel improves its own copy of the seed in place.
     args = search_args(packed, incumbent)
@@ -97,4 +101,27 @@ def solve_detailed(
     if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):
         raise RuntimeError("internal error: obligatory test left unassigned")
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return schedule, SolveStats(used, bool(done), wall_ms, node_budget)
+    return schedule, SolveStats(used, bool(done), wall_ms, node_budget, seed)
+
+
+def seed_candidates(packed: PackedInstance) -> list[tuple[str, list[int]]]:
+    """The search's candidate seeds as (source, assignment), greedy's first.
+
+    Greedy first-fill and the density-order fill each place every
+    obligatory test: a fill that drops one restarts from an exact placement
+    of just those, which makes greedy's source ``reseed``.
+    """
+    obligatory = [i for i in range(packed.n) if packed.oblig[i]]
+
+    def drops(assign: list[int]) -> bool:
+        return any(assign[i] < 0 for i in obligatory)
+
+    greedy, density = greedy_assignment(packed), density_assignment(packed)
+    source = "greedy"
+    if drops(greedy) or drops(density):
+        base = ensure_obligatory_coverage(packed)
+        if drops(greedy):
+            greedy, source = greedy_assignment(packed, initial_assign=base), "reseed"
+        if drops(density):
+            density = density_assignment(packed, initial_assign=base)
+    return [(source, greedy), ("density", density)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from cisched import (
@@ -31,6 +32,7 @@ from cisched import (
     save_result,
 )
 from cisched.codec import FORMAT_VERSION, decode, encode
+from cisched.execution import _entry_seed
 
 from helpers import history_readers, make_agent, make_test
 
@@ -88,6 +90,35 @@ def test_execute_plan_is_deterministic_and_isolated():
     by_id = {r.test_id: r for r in first.records}
     for record in swapped.records:
         assert record == by_id[record.test_id]
+
+
+def tuple_seeded_records(plan, model):
+    """Records drawn as NumPy seeds from the int tuple itself."""
+    records = []
+    for entry in plan.entries:
+        ss = np.random.SeedSequence(
+            (model.seed, _entry_seed(plan.agent_id), plan.cycle, _entry_seed(entry.test_id))
+        )
+        rng = np.random.Generator(np.random.PCG64(ss))
+        failed = rng.random() < model.probability_for(entry.test_id)
+        actual = entry.planned_duration * rng.uniform(*model.duration_jitter)
+        outcome = Outcome.FAIL if failed else Outcome.PASS
+        records.append(ExecutionRecord(entry.test_id, plan.agent_id, plan.cycle, outcome, actual))
+    return tuple(records)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("cycle", [0, 3, 2**32])
+def test_execute_plan_draws_as_the_int_tuple_seeds(seed, cycle):
+    # execute_plan hands SeedSequence the tuple's uint32 words; the word
+    # boundaries of the seed and the cycle must give the same streams.
+    plan = TestPlan(
+        "agent-7",
+        cycle,
+        tuple(PlanEntry(f"t{k}", planned_duration=1.0 + k, priority=0.5) for k in range(12)),
+    )
+    model = OutcomeModel({}, default_probability=0.5, seed=seed)
+    assert execute_plan(plan, model).records == tuple_seeded_records(plan, model)
 
 
 def test_execute_plan_respects_probabilities_and_jitter():

@@ -126,6 +126,29 @@ def test_greedy_and_optimal_schedulers_both_run(tmp_path):
         assert g.executed_count > 0
 
 
+def test_timings_record_the_density_seed(tmp_path):
+    # Priority is the static priority alone: first-fill takes the long
+    # top test and strands the budget, the density fill takes the pair.
+    tests = [
+        make_test("ta", duration=6.0, static=0.5),
+        make_test("tb", duration=5.0, static=0.45),
+        make_test("tc", duration=5.0, static=0.45),
+    ]
+    weights = PriorityWeights(w_staleness=0.0, w_duration=0.0, w_results=0.0, w_static=1.0)
+    out = tmp_path / "run"
+    run_simulation(
+        config(cycles=1, weights=weights, out_dir=str(out)), tests, [make_agent("a0")]
+    )
+    (timing,) = [
+        json.loads(line)
+        for line in (out / "timings.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert timing["seed"] == "density"
+    report = (out / "cycle_0" / "report.json").read_text(encoding="utf-8")
+    assert "seed" not in json.loads(report)
+    assert load_plan(out / "cycle_0" / "plan_a0.json").entries[0].test_id == "tb"
+
+
 def test_cycle_error_carries_cycle_and_leaves_history_clean(tmp_path):
     tests = [make_test("t0", duration=50.0, obligatory=True)]
     agents = [make_agent("a0", budget=10.0)]

@@ -25,8 +25,15 @@ from cisched import (
     schedule_oracle,
     solve_detailed,
 )
-from cisched.kernels import resolve_backend
-from cisched.scheduling import PackedInstance
+from cisched.kernels import _search_chunk, resolve_backend, search_args
+from cisched.scheduling import (
+    PackedInstance,
+    check_schedule,
+    density_assignment,
+    ensure_obligatory_coverage,
+    greedy_assignment,
+)
+from cisched.solver import NODES_PER_MS, SolveStats
 
 from helpers import (
     make_agent,
@@ -257,7 +264,7 @@ def test_resolve_backend():
 # completion of the Python kernel at fixed node budgets. A layout or
 # kernel refactor must leave it unchanged; only a deliberate change to the
 # traversal may update it, and must say why.
-PINNED_TRAVERSAL_DIGEST = "46826adc41b8f44bb9308d3d74d854ac8eb65110f7e7621283b100eb44b5c990"
+PINNED_TRAVERSAL_DIGEST = "7cd01b398ff8146a594ef5b1d1355a2c2ec6363fe05eb1bafc6fa39b418b94c8"
 
 
 def generated_instance(tests: int, agents: int, diversity: bool, seed: int = 3):
@@ -278,7 +285,7 @@ def generated_instance(tests: int, agents: int, diversity: bool, seed: int = 3):
     )
 
 
-def traversal_outcomes() -> list:
+def traversal_outcomes(solve=solve_detailed) -> list:
     rng = np.random.Generator(np.random.PCG64(2026))
     cases = []
     for k in range(60):
@@ -289,7 +296,7 @@ def traversal_outcomes() -> list:
     outcomes = []
     for instance, nodes in cases:
         try:
-            got, stats = solve_detailed(instance, backend="python", node_budget=nodes)
+            got, stats = solve(instance, backend="python", node_budget=nodes)
         except InfeasibleError as err:
             outcomes.append(["infeasible", list(err.test_ids)])
             continue
@@ -310,15 +317,15 @@ def test_python_traversal_matches_pinned_digest():
 # sha256 of large_traversal_outcomes(), pinned before the priority bound
 # moved to Fenwick trees; as above, only a deliberate traversal change may
 # update it.
-PINNED_LARGE_TRAVERSAL_DIGEST = "ca1cbb219352e6f396a32c8c2cff49dfe88b3ec7e95238acdb8711b904a7bfdd"
+PINNED_LARGE_TRAVERSAL_DIGEST = "003442e4b62530636b56aca1880020d86a63e96748414aae2b8afa26323db59e"
 
 
-def large_traversal_outcomes() -> list:
+def large_traversal_outcomes(solve=solve_detailed) -> list:
     outcomes = []
     for tests, agents, nodes in ((500, 8, 20_000), (2000, 16, 5_000)):
         for diversity in (True, False):
             instance = generated_instance(tests, agents, diversity)
-            got, stats = solve_detailed(instance, backend="python", node_budget=nodes)
+            got, stats = solve(instance, backend="python", node_budget=nodes)
             assignments = sorted((a, list(t)) for a, t in got.assignments.items())
             outcomes.append([assignments, objective_tuple(got), stats.nodes, stats.completed])
     return outcomes
@@ -331,6 +338,128 @@ def test_large_traversal_matches_pinned_digest():
     assert [o[2:] for o in outcomes] == [[20_000, False]] * 2 + [[5_000, False]] * 2
     got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
     assert got == PINNED_LARGE_TRAVERSAL_DIGEST
+
+
+# The two digests above as pinned while the search started from the
+# greedy seed alone, before the density-order fill joined it.
+GREEDY_SEED_TRAVERSAL_DIGEST = "46826adc41b8f44bb9308d3d74d854ac8eb65110f7e7621283b100eb44b5c990"
+GREEDY_SEED_LARGE_TRAVERSAL_DIGEST = "ca1cbb219352e6f396a32c8c2cff49dfe88b3ec7e95238acdb8711b904a7bfdd"
+
+
+def greedy_seed(packed):
+    """First-fill, reseeded from the obligatory placement when it drops one."""
+    assign = greedy_assignment(packed)
+    if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):
+        assign = greedy_assignment(packed, initial_assign=ensure_obligatory_coverage(packed))
+    return assign
+
+
+def density_seed(packed):
+    """The density-order fill, restarted from the obligatory placement when it drops one."""
+    assign = density_assignment(packed)
+    if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):
+        assign = density_assignment(packed, initial_assign=ensure_obligatory_coverage(packed))
+    return assign
+
+
+def search_from_greedy_seed(instance, backend, node_budget):
+    """solve_detailed's kernel loop by hand, from the greedy seed."""
+    packed = PackedInstance(instance)
+    args = search_args(packed, greedy_seed(packed))
+    used, done = 0, 0
+    while used < node_budget and not done:
+        done, nodes = _search_chunk(*args, min(NODES_PER_MS, node_budget - used))
+        used += nodes
+    schedule = packed.assignment_to_schedule(args.inc_assign)
+    return schedule, SolveStats(used, bool(done), 0.0, node_budget, "greedy")
+
+
+def test_kernel_from_the_greedy_seed_keeps_the_pinned_traversal():
+    # Only the seed moved the pinned digests: the kernel, run from the
+    # greedy seed in the same calls, still gives the old outcomes.
+    outcomes = traversal_outcomes(search_from_greedy_seed)
+    got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert got == GREEDY_SEED_TRAVERSAL_DIGEST
+
+
+def test_kernel_from_the_greedy_seed_keeps_the_pinned_large_traversal():
+    outcomes = large_traversal_outcomes(search_from_greedy_seed)
+    got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert got == GREEDY_SEED_LARGE_TRAVERSAL_DIGEST
+
+
+def seed_instances():
+    rng = np.random.Generator(np.random.PCG64(4242))
+    instances = [random_instance(rng, max_obligatory=3) for _ in range(80)]
+    ties = np.random.Generator(np.random.PCG64(1618))
+    return instances + [zero_tie_instance(ties) for _ in range(80)]
+
+
+def assignment_of(packed, schedule):
+    col = {a: j for j, a in enumerate(packed.agent_ids)}
+    row = {t: i for i, t in enumerate(packed.test_ids)}
+    assign = [-1] * packed.n
+    for agent_id, test_ids in schedule.assignments.items():
+        for t in test_ids:
+            assign[row[t]] = col[agent_id]
+    return assign
+
+
+def test_density_seed_is_feasible_and_places_every_obligatory_test():
+    checked = 0
+    for instance in seed_instances():
+        packed = PackedInstance(instance)
+        check_schedule(packed.assignment_to_schedule(density_assignment(packed)), instance)
+        try:
+            seed = density_seed(packed)
+        except InfeasibleError:
+            continue
+        check_schedule(packed.assignment_to_schedule(seed), instance)
+        assert all(seed[i] >= 0 for i in range(packed.n) if packed.oblig[i])
+        checked += 1
+    assert checked > 100
+
+
+def test_density_seed_restarts_from_the_obligatory_placement():
+    # The denser t1 takes the roomier a0 and strands t2, which fits only
+    # there; the restart keeps the exact placement and fills t3 around it.
+    t1 = make_test("t1", duration=6.0, agents=("a0", "a1"), obligatory=True)
+    t2 = make_test("t2", duration=5.0, obligatory=True)
+    t3 = make_test("t3", duration=4.0, agents=("a0", "a1"))
+    instance = make_instance(
+        [(t1, 0.9), (t2, 0.5), (t3, 0.1)],
+        [make_agent("a0", budget=10.0), make_agent("a1", budget=6.0)],
+    )
+    packed = PackedInstance(instance)
+    assert density_assignment(packed) == [0, -1, 1]
+    assert density_seed(packed) == [1, 0, 0]
+    got, stats = solve_detailed(instance)
+    assert got.assignments == {"a0": ("t2", "t3"), "a1": ("t1",)}
+    assert stats.completed
+
+
+def test_solve_is_at_least_both_seeds():
+    wins = dict.fromkeys(("greedy", "reseed", "density"), 0)
+    for instance in seed_instances():
+        packed = PackedInstance(instance)
+        try:
+            greedy = packed.objective_units(greedy_seed(packed))
+        except InfeasibleError as err:
+            # The same culprits as when greedy alone seeded the search.
+            with pytest.raises(InfeasibleError) as got_err:
+                solve_detailed(instance)
+            assert got_err.value.test_ids == err.test_ids
+            continue
+        density = packed.objective_units(density_seed(packed))
+        # One node cannot reach a leaf below the root, so it returns the seed.
+        seeded, stats = solve_detailed(instance, node_budget=1)
+        assert packed.objective_units(assignment_of(packed, seeded)) == max(greedy, density)
+        assert (stats.seed == "density") == (density > greedy)
+        wins[stats.seed] += 1
+        got, _ = solve_detailed(instance)
+        units = packed.objective_units(assignment_of(packed, got))
+        assert units >= greedy and units >= density
+    assert min(wins.values()) > 0
 
 
 def test_solver_matches_oracle_with_histories():
