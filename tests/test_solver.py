@@ -12,9 +12,11 @@ import pytest
 
 import cisched.solver
 from cisched import (
+    ExecutionRecord,
     HistoryStore,
     InfeasibleError,
     ObjectiveVector,
+    Outcome,
     PriorityWeights,
     WorkloadSpec,
     build_instance,
@@ -33,7 +35,7 @@ from cisched.scheduling import (
     ensure_obligatory_coverage,
     greedy_assignment,
 )
-from cisched.solver import NODES_PER_MS, SolveStats
+from cisched.solver import NODES_PER_MS, SolveStats, seed_candidates
 
 from helpers import (
     make_agent,
@@ -267,9 +269,16 @@ def test_resolve_backend():
 PINNED_TRAVERSAL_DIGEST = "7cd01b398ff8146a594ef5b1d1355a2c2ec6363fe05eb1bafc6fa39b418b94c8"
 
 
-def generated_instance(tests: int, agents: int, diversity: bool, seed: int = 3):
-    """A generated workload at cycle 10 with seeded random pair history."""
-    budget = 60.0 * max(1, tests // (10 * agents))
+def generated_instance(
+    tests: int, agents: int, diversity: bool, seed: int = 3, budget: float | None = None
+):
+    """A generated workload at cycle 10 with seeded random pair history.
+
+    Each agent's budget is ``budget`` seconds, by default 60 s per ten
+    tests per agent.
+    """
+    if budget is None:
+        budget = 60.0 * max(1, tests // (10 * agents))
     spec = WorkloadSpec(tests, agents, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, budget, seed)
     cases, pool, _ = generate_workload(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -340,6 +349,67 @@ def test_large_traversal_matches_pinned_digest():
     assert got == PINNED_LARGE_TRAVERSAL_DIGEST
 
 
+# sha256 of tight_traversal_outcomes(), pinned on the kernel that updated
+# the bound's Fenwick trees at every descent and backtrack; as above, only
+# a deliberate traversal change may update it.
+PINNED_TIGHT_TRAVERSAL_DIGEST = "f292c83a1abe11a4657c1d6c1687ab375523efa95d21239d5684a64251fb7fc6"
+
+
+def tight_instance(diversity: bool, seed: int = 3):
+    """A 500x8 workload at 180 s per agent, capacity about half of demand.
+
+    It is taken at cycle 1, after a cycle that ran its seed schedule and
+    passed. That history moves the tests that ran down the priority order,
+    so the deep nodes of the search run out of room for the obligatory
+    tests left below them: the pooled obligatory check prunes about half
+    of the nodes, as on perfbench's anytime-tight campaign cycles.
+    """
+    spec = WorkloadSpec(500, 8, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, 180.0, seed)
+    cases, pool, _ = generate_workload(spec)
+    history = HistoryStore()
+    ranked = prioritize_all(cases, history, PriorityWeights(), 0)
+    first = build_instance(ranked, pool, {}, 0, solver_time_budget_ms=100_000, diversity=diversity)
+    ran, _ = solve_detailed(first, node_budget=1)
+    duration = {t.id: t.avg_duration for t in cases}
+    history.add_cycle([
+        ExecutionRecord(t, a, 0, Outcome.PASS, duration[t])
+        for a, tests in sorted(ran.assignments.items())
+        for t in tests
+    ])
+    ranked = prioritize_all(cases, history, PriorityWeights(), 1)
+    return build_instance(
+        ranked, pool, history.pair_last_cycle(), 1,
+        solver_time_budget_ms=100_000, diversity=diversity,
+    )
+
+
+def tight_traversal_outcomes() -> list:
+    # The large digest's instances have room for their obligatory tests at
+    # every node they reach; these run out of it. The search does not
+    # improve the seed here, so the digest also pins where it stopped.
+    outcomes = []
+    for diversity in (True, False):
+        instance = tight_instance(diversity)
+        got, stats = solve_detailed(instance, node_budget=10_000)
+        assignments = sorted((a, list(t)) for a, t in got.assignments.items())
+        packed = PackedInstance(instance)
+        _, seed = max(seed_candidates(packed), key=lambda c: packed.objective_units(c[1]))
+        args, _, _ = run_kernel(packed, seed, 10_000)
+        d = args.ctl[0]
+        outcomes.append([
+            assignments, objective_tuple(got), stats.nodes, stats.completed,
+            d, args.pos[:d + 1], args.assign, args.residual, args.acc,
+        ])
+    return outcomes
+
+
+def test_tight_traversal_matches_pinned_digest():
+    outcomes = tight_traversal_outcomes()
+    assert [o[2:4] for o in outcomes] == [[10_000, False]] * 2
+    got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert got == PINNED_TIGHT_TRAVERSAL_DIGEST
+
+
 # The two digests above as pinned while the search started from the
 # greedy seed alone, before the density-order fill joined it.
 GREEDY_SEED_TRAVERSAL_DIGEST = "46826adc41b8f44bb9308d3d74d854ac8eb65110f7e7621283b100eb44b5c990"
@@ -362,14 +432,20 @@ def density_seed(packed):
     return assign
 
 
-def search_from_greedy_seed(instance, backend, node_budget):
-    """solve_detailed's kernel loop by hand, from the greedy seed."""
-    packed = PackedInstance(instance)
-    args = search_args(packed, greedy_seed(packed))
+def run_kernel(packed, seed, node_budget):
+    """solve_detailed's kernel loop by hand: (args, nodes used, done)."""
+    args = search_args(packed, seed)
     used, done = 0, 0
     while used < node_budget and not done:
         done, nodes = _search_chunk(*args, min(NODES_PER_MS, node_budget - used))
         used += nodes
+    return args, used, done
+
+
+def search_from_greedy_seed(instance, backend, node_budget):
+    """solve_detailed's kernel loop by hand, from the greedy seed."""
+    packed = PackedInstance(instance)
+    args, used, done = run_kernel(packed, greedy_seed(packed), node_budget)
     schedule = packed.assignment_to_schedule(args.inc_assign)
     return schedule, SolveStats(used, bool(done), 0.0, node_budget, "greedy")
 
