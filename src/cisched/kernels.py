@@ -13,16 +13,28 @@ over the undecided tests against the pooled residual capacity (Martello
 and Toth, *Knapsack Problems*, 1990, ch. 2), computed in O(log n) from two
 Fenwick trees (Fenwick, *Softw. Pract. Exp.* 24(3), 1994). ``bit_dur`` and
 ``bit_prio`` are indexed by 1-based position in ``dens_order`` and hold
-the duration and the priority of exactly the tests at depth >= ``ctl[0]``:
-every descent from depth d removes test d, and every backtrack to depth d
-adds it back. One binary-lifting descent from ``top`` finds the longest
+the duration and the priority of exactly the tests at depth >= ``ctl[1]``.
+Descents and backtracks leave them alone. Only a fresh node that reads a
+bound brings them to its own depth d first: it removes the tests from
+``ctl[1]`` up to d, or adds back those from d up to ``ctl[1]``, and sets
+``ctl[1]`` to d. Leaves and nodes that the obligatory check prunes pay no
+tree update. One binary-lifting descent from ``top`` finds the longest
 density prefix whose duration fits the pool; decided tests weigh 0 there,
 so the test just past that prefix is undecided and is the break item. When
 no break item remains, every undecided test fits and their total duration
-is what the descent took from the pool, which bounds the used time. The
-trees are argument lists like the rest of the traversal state, so chunked
-calls resume exactly, and an exhausted search leaves them as
-:func:`search_args` built them.
+is what the descent took from the pool, which bounds the used time.
+
+A descent does not enter a child whose fresh node the pooled obligatory
+check would prune (the obligatory tests below it need more than the pool
+it leaves). It counts that node, passes over the child and tries the next.
+Node counts, bounds and the order of nodes are those of entering the
+child, pruning it and backtracking, and so is the state a node budget
+stops in: past the counted child when it took the last node, inside the
+child when its parent's fresh node did.
+
+The trees are argument lists like the rest of the traversal state, so
+chunked calls resume exactly, and an exhausted search leaves them, with
+``ctl[1]`` = 0, as :func:`search_args` built them.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ def _search_chunk(
     assign,  # [n] current partial assignment, -1 = unassigned
     residual,  # [m] remaining budget per agent
     acc,  # [3] accumulated (priority, staleness, time)
-    ctl,  # [1] current depth
+    ctl,  # [2] current depth, depth from which the trees hold the tests
     inc_assign,  # [n] incumbent assignment
     inc_acc,  # [3] incumbent objective
     node_budget,  # max nodes to expand in this call
@@ -126,7 +138,24 @@ def _search_chunk(
             else:
                 # Dantzig bound: the longest density prefix of undecided
                 # tests that fits the pool, found by one binary-lifting
-                # descent over the trees (decided tests weigh 0).
+                # descent over the trees (decided tests weigh 0) once they
+                # hold the tests at depth >= d.
+                t = ctl[1]
+                while t < d:
+                    k = dens_pos[t]
+                    while k <= n:
+                        bit_dur[k] -= dur[t]
+                        bit_prio[k] -= prio[t]
+                        k += k & -k
+                    t += 1
+                while t > d:
+                    t -= 1
+                    k = dens_pos[t]
+                    while k <= n:
+                        bit_dur[k] += dur[t]
+                        bit_prio[k] += prio[t]
+                        k += k & -k
+                ctl[1] = d
                 p_bound = acc[0]
                 rem = pool
                 k = 0
@@ -161,26 +190,38 @@ def _search_chunk(
             row = child_start[d]
             count = child_start[d + 1] - row
             total = count + 1 - oblig[d]
+            w = dur[d]
             c = pos[d]
-            while c < count and dur[d] > residual[child_agents[row + c]]:
+            while c < count and w > residual[child_agents[row + c]]:
                 c += 1
+            if nodes < node_budget:
+                # A child whose fresh node the obligatory check would prune
+                # is counted as that node and passed over. Every child that
+                # places test d leaves the same pool, and skip leaves w
+                # more. At d = n - 1 the slack is the pool, which fits any
+                # child, so the child of a leaf is never counted.
+                slack = capacity - acc[2] - suffix_oblig_dur[d + 1]
+                while c < total and slack < (w if c < count else 0):
+                    nodes += 1
+                    c += 1
+                    if nodes == node_budget:
+                        # Stop past the child, as if it had been entered,
+                        # pruned and undone.
+                        pos[d] = c
+                        return done, nodes
+                    while c < count and w > residual[child_agents[row + c]]:
+                        c += 1
             if c < total:
                 if c < count:
                     j = child_agents[row + c]
                     assign[d] = j
-                    residual[j] -= dur[d]
+                    residual[j] -= w
                     acc[0] += prio[d]
                     acc[1] += child_stale[row + c]
-                    acc[2] += dur[d]
+                    acc[2] += w
                 pos[d] = c + 1
                 ctl[0] = d + 1
                 pos[d + 1] = 0
-                # Test d is decided now: take it out of the trees.
-                k = dens_pos[d]
-                while k <= n:
-                    bit_dur[k] -= dur[d]
-                    bit_prio[k] -= prio[d]
-                    k += k & -k
             else:
                 back = True
 
@@ -189,15 +230,13 @@ def _search_chunk(
             # choice. Backtracking past the root ends the search.
             if d == 0:
                 done = 1
+                # Leave the trees as search_args built them.
+                bit_dur[:] = _fenwick([dur[i] for i in dens_order])
+                bit_prio[:] = _fenwick([prio[i] for i in dens_order])
+                ctl[1] = 0
                 break
             d -= 1
             ctl[0] = d
-            # Test d is undecided again: put it back into the trees.
-            k = dens_pos[d]
-            while k <= n:
-                bit_dur[k] += dur[d]
-                bit_prio[k] += prio[d]
-                k += k & -k
             row = child_start[d]
             c = pos[d] - 1
             if c < child_start[d + 1] - row:
@@ -303,7 +342,7 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
         rank_to_idx, rank, sum(packed.budget_us),
         # Traversal state at the root: pos, assign, residual, acc, ctl.
         [0] * (n + 1), [-1] * n, list(packed.budget_us),
-        [0, 0, 0], [0],
+        [0, 0, 0], [0, 0],
         list(incumbent), list(packed.objective_units(incumbent)),
     )
 

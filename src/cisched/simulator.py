@@ -217,6 +217,8 @@ def run_simulation(
                 "completed": artifacts.stats.completed if artifacts.stats else True,
                 # A greedy cycle's schedule is the first-fill itself.
                 "seed": artifacts.stats.seed if artifacts.stats else "greedy",
+                # A greedy cycle runs no search.
+                "stop": artifacts.stats.stop if artifacts.stats else None,
             }
             with open(timings_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(timing, sort_keys=True) + "\n")

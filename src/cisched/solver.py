@@ -28,11 +28,13 @@ WALL_SAFETY_FACTOR = 10
 
 @dataclass(frozen=True)
 class SolveStats:
-    """How a solve went: effort spent, whether the search finished, and its seed.
+    """How a solve went: effort spent, whether and why the search stopped, its seed.
 
     ``seed`` names the search's starting point: ``greedy`` (first-fill),
     ``reseed`` (first-fill completing the obligatory placement) or
-    ``density`` (the density-order fill).
+    ``density`` (the density-order fill). ``stop`` names what ended the
+    search: ``exhausted`` (it finished, so ``completed``), ``node_budget``
+    (reproducible) or ``wall_deadline`` (not reproducible).
     """
 
     nodes: int
@@ -40,6 +42,7 @@ class SolveStats:
     wall_ms: float
     node_budget: int
     seed: str
+    stop: str
 
 
 def schedule_optimal(instance: SchedulingInstance) -> Schedule:
@@ -101,7 +104,8 @@ def solve_detailed(
     if any(packed.oblig[i] and assign[i] < 0 for i in range(packed.n)):
         raise RuntimeError("internal error: obligatory test left unassigned")
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return schedule, SolveStats(used, bool(done), wall_ms, node_budget, seed)
+    stop = "exhausted" if done else "node_budget" if used == node_budget else "wall_deadline"
+    return schedule, SolveStats(used, bool(done), wall_ms, node_budget, seed, stop)
 
 
 def seed_candidates(packed: PackedInstance) -> list[tuple[str, list[int]]]:

@@ -103,8 +103,9 @@ def descends_against(args, inc_priority):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), diversity=st.booleans(), whole=st.booleans())
 def test_fenwick_trees_hold_the_undecided_tests(seed, diversity, whole):
-    # Invariant: the trees hold exactly the tests at depth >= ctl[0], in
-    # density positions, whatever node the kernel stopped at.
+    # Invariant: the trees hold exactly the tests at depth >= ctl[1], in
+    # density positions, whatever node the kernel stopped at; a fresh node
+    # brings them to its depth ctl[0] before it reads a bound.
     rng = np.random.Generator(np.random.PCG64(seed))
     instance = replace(random_instance(rng, 12, 4, max_obligatory=4), diversity=diversity)
     if whole:
@@ -116,9 +117,9 @@ def test_fenwick_trees_hold_the_undecided_tests(seed, diversity, whole):
     while not done and used < 3_000:
         done, nodes = kernel(*args, int(rng.integers(1, 40)))
         used += nodes
-        d = args.ctl[0]
+        d, held = args.ctl
         for k in range(args.n + 1):
-            undecided = [i for i in args.dens_order[:k] if i >= d]
+            undecided = [i for i in args.dens_order[:k] if i >= held]
             assert fenwick_prefix(args.bit_dur, k) == sum(args.dur[i] for i in undecided)
             assert fenwick_prefix(args.bit_prio, k) == sum(args.prio[i] for i in undecided)
         if d < args.n and args.pos[d] == 0 and descends_against(args, -1):
@@ -131,6 +132,44 @@ def test_fenwick_trees_hold_the_undecided_tests(seed, diversity, whole):
     if done:
         fresh = search_args(packed, greedy_assignment(packed))
         assert (args.bit_dur, args.bit_prio) == (fresh.bit_dur, fresh.bit_prio)
+        assert args.ctl == fresh.ctl == [0, 0]
+
+
+def traversal_state(args, done, used):
+    """Everything a resumed search reads: the path to the current node, the
+    partial assignment and its sums, and the incumbent."""
+    d = args.ctl[0]
+    return (
+        done, used, d, args.pos[:d + 1], args.assign, args.residual, args.acc,
+        args.inc_assign, args.inc_acc,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), diversity=st.booleans())
+def test_node_budget_stops_at_the_same_state_in_one_call_or_many(seed, diversity):
+    # Up to 8 obligatory tests of whole seconds: the obligatory check
+    # prunes often, so many children are counted without being entered,
+    # and a budget often runs out on one. For every budget b, one call of
+    # b nodes stops where b one-node calls do.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    instance = random_instance(
+        rng, max_tests=16, max_agents=4, max_obligatory=8, min_tests=12
+    )
+    instance = whole_seconds(replace(instance, diversity=diversity))
+    packed = PackedInstance(instance)
+    seed_assign = greedy_assignment(packed)
+    kernel = get_kernel("python")
+    stepped = search_args(packed, seed_assign)
+    done = used = 0
+    for budget in range(1, 301):
+        done, nodes = kernel(*stepped, 1)
+        used += nodes
+        whole = search_args(packed, seed_assign)
+        got = kernel(*whole, budget)
+        assert traversal_state(whole, *got) == traversal_state(stepped, done, used)
+        if done:
+            break
 
 
 @settings(max_examples=60, deadline=None)

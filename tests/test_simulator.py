@@ -149,6 +149,20 @@ def test_timings_record_the_density_seed(tmp_path):
     assert load_plan(out / "cycle_0" / "plan_a0.json").entries[0].test_id == "tb"
 
 
+def test_timings_record_the_stop(tmp_path):
+    tests, agents = small_repo()
+    stops = {}
+    for scheduler in SchedulerKind:
+        out = tmp_path / scheduler.value
+        run_simulation(config(scheduler=scheduler, out_dir=str(out)), tests, agents)
+        stops[scheduler] = [
+            json.loads(line)["stop"]
+            for line in (out / "timings.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+    # A greedy cycle runs no search; these small searches finish.
+    assert stops == {SchedulerKind.GREEDY: [None, None], SchedulerKind.OPTIMAL: ["exhausted"] * 2}
+
+
 def test_cycle_error_carries_cycle_and_leaves_history_clean(tmp_path):
     tests = [make_test("t0", duration=50.0, obligatory=True)]
     agents = [make_agent("a0", budget=10.0)]

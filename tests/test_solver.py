@@ -216,6 +216,24 @@ def test_wall_deadline_stops_within_a_short_kernel_call(monkeypatch):
     assert stats.wall_ms <= 1.1 * 100 * cisched.solver.WALL_SAFETY_FACTOR
 
 
+def test_stop_names_what_ended_the_search(monkeypatch):
+    _, stats = solve_detailed(trap_instance())
+    assert (stats.stop, stats.completed) == ("exhausted", True)
+    rng = np.random.Generator(np.random.PCG64(99))
+    instance = random_instance(
+        rng, max_tests=40, min_tests=40, max_agents=4, max_obligatory=0,
+        time_budget_ms=100,
+    )
+    _, stats = solve_detailed(instance, node_budget=200)
+    assert (stats.stop, stats.nodes, stats.completed) == ("node_budget", 200, False)
+    # A clock that jumps 10 s at every reading passes the 1 s wall deadline
+    # after the first kernel call.
+    ticks = iter(range(0, 10**6, 10))
+    monkeypatch.setattr(cisched.solver.time, "perf_counter", lambda: float(next(ticks)))
+    _, stats = solve_detailed(instance)
+    assert (stats.stop, stats.nodes, stats.completed) == ("wall_deadline", NODES_PER_MS, False)
+
+
 def test_node_budget_validation():
     instance = trap_instance()
     with pytest.raises(ValueError):
@@ -447,7 +465,8 @@ def search_from_greedy_seed(instance, backend, node_budget):
     packed = PackedInstance(instance)
     args, used, done = run_kernel(packed, greedy_seed(packed), node_budget)
     schedule = packed.assignment_to_schedule(args.inc_assign)
-    return schedule, SolveStats(used, bool(done), 0.0, node_budget, "greedy")
+    stop = "exhausted" if done else "node_budget"
+    return schedule, SolveStats(used, bool(done), 0.0, node_budget, "greedy", stop)
 
 
 def test_kernel_from_the_greedy_seed_keeps_the_pinned_traversal():
