@@ -12,11 +12,9 @@ For each size the script prints, as the median and the min-max range over
   in calls of ``NODES_PER_MS`` nodes. Its node count includes the children
   that the kernel counts without entering them.
 
-The table sizes use ``generate_workload`` at ``--seed`` with compatibility
-density 0.8, obligatory fraction 0.1, durations of 1-10 s and budgets of
-60 s x max(1, n // (10 m)) per agent, with no pair history. The tight row
-has the shape of perfbench's ``anytime-tight``: 2.88 s per test and agent,
-about half of demand, taken at cycle 1 of a campaign, after one optimal
+The instances are those of ``optimality_gap.py``, at ``--seed``: the table
+sizes, and for each ``--tight`` size cycle 1 of its campaign shaped like
+perfbench's ``anytime-tight`` (about half of demand), after one optimal
 cycle ran, so that the obligatory check prunes the deep nodes.
 
 Usage: python3 benchmarks/sizes.py [--sizes 50x3 200x4 ...] [--tight 500x8]
@@ -28,61 +26,15 @@ from __future__ import annotations
 import argparse
 import statistics
 import time
+from itertools import islice
 
-from cisched import (
-    HistoryStore,
-    PriorityWeights,
-    SchedulerKind,
-    SimulationConfig,
-    SimulationState,
-    WorkloadSpec,
-    build_instance,
-    generate_workload,
-    prioritize_all,
-    run_cycle,
-    schedule_greedy,
-)
+from cisched import schedule_greedy
 from cisched.kernels import _search_chunk, search_args
 from cisched.scheduling import PackedInstance
 from cisched.solver import NODES_PER_MS, seed_candidates, solve_detailed
+from optimality_gap import campaign_instances, size, table_instance
 
-TIGHT_SECONDS_PER_TEST = 2.88
 COLUMNS = ("greedy", "pack", "seeds", "search_args", "solve wall", "nodes / budget", "wall ÷ budget", "kernel nodes/ms")
-
-
-def size(text: str) -> tuple[int, int]:
-    tests, agents = text.lower().split("x")
-    return int(tests), int(agents)
-
-
-def spec(tests: int, agents: int, budget: float, seed: int) -> WorkloadSpec:
-    return WorkloadSpec(tests, agents, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, budget, seed)
-
-
-def table_instance(tests: int, agents: int, seed: int, budget_ms: int):
-    cases, pool, _ = generate_workload(spec(tests, agents, 60.0 * max(1, tests // (10 * agents)), seed))
-    ranked = prioritize_all(cases, HistoryStore(), PriorityWeights(), 0)
-    return build_instance(ranked, pool, {}, 0, solver_time_budget_ms=budget_ms)
-
-
-def tight_instance(tests: int, agents: int, seed: int, budget_ms: int):
-    """Cycle 1 of an optimal campaign at about half of demand."""
-    budget = TIGHT_SECONDS_PER_TEST * tests / agents
-    cases, pool, model = generate_workload(spec(tests, agents, budget, seed))
-    config = SimulationConfig(
-        cycles=1,
-        scheduler=SchedulerKind.OPTIMAL,
-        weights=PriorityWeights(),
-        outcome_model=model,
-        solver_time_budget_ms=budget_ms,
-    )
-    state = SimulationState(list(cases), list(pool), HistoryStore(), config)
-    run_cycle(state)
-    history = state.history
-    ranked = prioritize_all(cases, history, config.weights, history.current_cycle)
-    return build_instance(
-        ranked, pool, history.pair_last_cycle(), history.current_cycle, solver_time_budget_ms=budget_ms
-    )
 
 
 def timed(fn, *args):
@@ -154,7 +106,7 @@ def main(argv=None) -> int:
         instance = table_instance(tests, agents, args.seed, args.budget_ms)
         print(row(f"{tests}×{agents}", instance, args.runs), flush=True)
     for tests, agents in args.tight:
-        instance = tight_instance(tests, agents, args.seed, args.budget_ms)
+        ((_, instance),) = islice(campaign_instances(tests, agents, args.seed, 2, args.budget_ms), 1, 2)
         print(row(f"{tests}×{agents} tight", instance, args.runs), flush=True)
     return 0
 

@@ -198,8 +198,8 @@ def _search_chunk(
                 # A child whose fresh node the obligatory check would prune
                 # is counted as that node and passed over. Every child that
                 # places test d leaves the same pool, and skip leaves w
-                # more. At d = n - 1 the slack is the pool, which fits any
-                # child, so the child of a leaf is never counted.
+                # more. At d = n - 1 the children are leaves, and the slack
+                # is the pool, which fits every viable child.
                 slack = capacity - acc[2] - suffix_oblig_dur[d + 1]
                 while c < total and slack < (w if c < count else 0):
                     nodes += 1

@@ -145,7 +145,7 @@ def traversal_state(args, done, used):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), diversity=st.booleans())
 def test_node_budget_stops_at_the_same_state_in_one_call_or_many(seed, diversity):
     # Up to 8 obligatory tests of whole seconds: the obligatory check

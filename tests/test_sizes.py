@@ -8,7 +8,9 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "sizes.py"
 
 
-def test_sizes_runs_at_toy_size(capsys):
+def test_sizes_runs_at_toy_size(capsys, monkeypatch):
+    # The script imports its instances from optimality_gap.py beside it.
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
     spec = importlib.util.spec_from_file_location("sizes", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -287,16 +287,9 @@ def test_resolve_backend():
 PINNED_TRAVERSAL_DIGEST = "7cd01b398ff8146a594ef5b1d1355a2c2ec6363fe05eb1bafc6fa39b418b94c8"
 
 
-def generated_instance(
-    tests: int, agents: int, diversity: bool, seed: int = 3, budget: float | None = None
-):
-    """A generated workload at cycle 10 with seeded random pair history.
-
-    Each agent's budget is ``budget`` seconds, by default 60 s per ten
-    tests per agent.
-    """
-    if budget is None:
-        budget = 60.0 * max(1, tests // (10 * agents))
+def generated_instance(tests: int, agents: int, diversity: bool, seed: int = 3):
+    """A generated workload at cycle 10 with seeded random pair history."""
+    budget = 60.0 * max(1, tests // (10 * agents))
     spec = WorkloadSpec(tests, agents, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, budget, seed)
     cases, pool, _ = generate_workload(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
