@@ -12,6 +12,12 @@ For each size the script prints, as the median and the min-max range over
   in calls of ``NODES_PER_MS`` nodes. Its node count includes the children
   that the kernel counts without entering them.
 
+After the table it prints a suggested ``solver.NODES_PER_MS``: half the
+slowest solve throughput (``nodes / wall_ms`` of ``solve_detailed``,
+packing and seeding included) over every run of every row whose search
+used its whole node budget, so that a search that ends early cannot skew
+it.
+
 The instances are those of ``optimality_gap.py``, at ``--seed``: the table
 sizes, and for each ``--tight`` size cycle 1 of its campaign shaped like
 perfbench's ``anytime-tight`` (about half of demand), after one optimal
@@ -68,6 +74,8 @@ def measure(instance) -> dict:
         "node_budget": stats.node_budget,
         "wall ÷ budget": stats.wall_ms / instance.solver_time_budget_ms,
         "kernel nodes/ms": used / kernel_ms,
+        "stop": stats.stop,
+        "solve nodes/ms": stats.nodes / stats.wall_ms,
     }
 
 
@@ -77,9 +85,7 @@ def spread(values, digits: int) -> str:
     return f"{fmt.format(statistics.median(values))} ({fmt.format(min(values))}–{fmt.format(max(values))})"
 
 
-def row(label: str, instance, runs: int) -> str:
-    results = [measure(instance) for _ in range(runs)]
-
+def row(label: str, results: list[dict]) -> str:
     def column(name: str, digits: int) -> str:
         return spread([r[name] for r in results], digits)
 
@@ -88,6 +94,22 @@ def row(label: str, instance, runs: int) -> str:
     cells = [column(c, 1) for c in COLUMNS[:5]]
     cells += [nodes, column("wall ÷ budget", 2), column("kernel nodes/ms", 0)]
     return f"| {label} | " + " | ".join(cells) + " |"
+
+
+def suggestion(results: list[dict]) -> str:
+    """The suggested NODES_PER_MS, from the runs that used their whole node budget."""
+    throughputs = [r["solve nodes/ms"] for r in results if r["stop"] == "node_budget"]
+    value = f"{max(1, int(min(throughputs) / 2)):,}" if throughputs else "none, no run used its whole node budget"
+    return f"suggested solver.NODES_PER_MS (half the slowest node-budget solve): {value} (current {NODES_PER_MS:,})"
+
+
+def instances(args):
+    """(label, instance) per row: the table sizes, then the tight shapes."""
+    for tests, agents in args.sizes:
+        yield f"{tests}×{agents}", table_instance(tests, agents, args.seed, args.budget_ms)
+    for tests, agents in args.tight:
+        ((_, instance),) = islice(campaign_instances(tests, agents, args.seed, 2, args.budget_ms), 1, 2)
+        yield f"{tests}×{agents} tight", instance
 
 
 def main(argv=None) -> int:
@@ -102,12 +124,13 @@ def main(argv=None) -> int:
     print(f"milliseconds unless named; median (min–max) of {args.runs} runs, seed {args.seed}")
     print("| tests×agents | " + " | ".join(COLUMNS) + " |")
     print("| --- " * (len(COLUMNS) + 1) + "|")
-    for tests, agents in args.sizes:
-        instance = table_instance(tests, agents, args.seed, args.budget_ms)
-        print(row(f"{tests}×{agents}", instance, args.runs), flush=True)
-    for tests, agents in args.tight:
-        ((_, instance),) = islice(campaign_instances(tests, agents, args.seed, 2, args.budget_ms), 1, 2)
-        print(row(f"{tests}×{agents} tight", instance, args.runs), flush=True)
+    every = []
+    for label, instance in instances(args):
+        results = [measure(instance) for _ in range(args.runs)]
+        print(row(label, results), flush=True)
+        every += results
+    print()
+    print(suggestion(every))
     return 0
 
 

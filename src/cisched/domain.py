@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import os
 import stat
@@ -320,7 +321,7 @@ def append_history(path: str | Path, records: Sequence[ExecutionRecord], complet
         fh.write((("\n" if end else "") + "\n".join(lines) + "\n").encode("utf-8"))
 
 
-# Bytes per read while a history log is hashed and replayed, so memory
+# Bytes per read while a log's checkpointed prefix is hashed, so memory
 # stays flat however long the log grows.
 _READ_BLOCK = 1 << 16
 
@@ -463,6 +464,22 @@ def load_history(path: str | Path) -> HistoryStore:
     return store
 
 
+def load_history_copy(path: str | Path) -> tuple[HistoryStore, bytes]:
+    """load_history(path), and the log's bytes, reading a pipe only once.
+
+    A regular file is loaded as load_history loads it, through its
+    checkpoint, and then read whole. A pipe, such as ``<(cat log)``, gives
+    its bytes once, so they are read whole and replayed from memory.
+    """
+    with open(path, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return load_history(path), fh.read()
+        data = fh.read()
+    store = HistoryStore()
+    _replay(path, io.BytesIO(data), store, hashlib.sha256(), 0, 0)
+    return store, data
+
+
 def _replay(
     path: str | Path,
     fh: BinaryIO,
@@ -480,48 +497,30 @@ def _replay(
     """
     pending: list[ExecutionRecord] = []
     mark = None
-    carry = b""
-    while True:
-        block = fh.read(_READ_BLOCK)
-        buf = carry + block
-        # Lines end at "\n" only, as append_history's backward scan splits them.
-        lines = buf.split(b"\n")
-        if block:
-            carry = lines.pop()
-        elif buf:
-            carry = b""  # the last line, which lacks its newline
-        else:
-            break
-        view = memoryview(buf)
-        pos = hashed = 0
-        for line in lines:
-            number += 1
-            pos += len(line) + 1
-            try:
-                item = _parse_line(line.decode("utf-8"))
-                if item is None:
-                    continue
-                if type(item) is ExecutionRecord:
-                    pending.append(item)
-                    continue
-                if item.cycle != store.current_cycle:
-                    raise ValueError(
-                        f"history cycle marker {item.cycle} does not match "
-                        f"expected {store.current_cycle}"
-                    )
-                store.add_cycle(pending)
-            except DuplicateRecordError as exc:
-                # Same class and fields, located at the marker closing the block.
-                exc.args = (f"{path}:{number}: {exc}",)
-                raise
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: {exc}") from exc
-            pending = []
-            digest.update(view[hashed:pos])
-            hashed = pos
-            mark = (offset + pos, number, digest.hexdigest()) if block else None
-        if not block:
-            break
-        digest.update(view[hashed:pos])
-        offset += pos
+    # Binary lines end at "\n" only, as append_history's backward scan splits them.
+    for line in fh:
+        number += 1
+        offset += len(line)
+        digest.update(line)
+        try:
+            item = _parse_line(line.decode("utf-8"))
+            if item is None:
+                continue
+            if type(item) is ExecutionRecord:
+                pending.append(item)
+                continue
+            if item.cycle != store.current_cycle:
+                raise ValueError(
+                    f"history cycle marker {item.cycle} does not match "
+                    f"expected {store.current_cycle}"
+                )
+            store.add_cycle(pending)
+        except DuplicateRecordError as exc:
+            # Same class and fields, located at the marker closing the block.
+            exc.args = (f"{path}:{number}: {exc}",)
+            raise
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from exc
+        pending = []
+        mark = (offset, number, digest.hexdigest()) if line.endswith(b"\n") else None
     return mark

@@ -17,7 +17,7 @@ from cisched.domain import (
     TestCase,
     append_history,
     filter_eligible,
-    load_history,
+    load_history_copy,
 )
 from cisched.execution import (
     AgentResult,
@@ -169,19 +169,15 @@ def run_simulation(
     its first append cuts the records of an interrupted cycle after the
     last cycle marker, which load_history discards too.
     """
-    state = SimulationState(
-        tests=list(tests),
-        agents=list(agents),
-        history=load_history(history_path) if history_path else HistoryStore(),
-        config=config,
-    )
+    # Read before the output log is rewritten, since out_dir may hold the
+    # input log, and only once, since a pipe gives its bytes once. The first
+    # append cuts any interrupted cycle the copy ends with.
+    history, prior = load_history_copy(history_path) if history_path else (HistoryStore(), b"")
+    state = SimulationState(tests=list(tests), agents=list(agents), history=history, config=config)
     out = Path(config.out_dir) if config.out_dir else None
     log_path = None
     timings_path = None
     if out is not None:
-        # Read before the output log is rewritten: out_dir may hold the input
-        # log. The first append cuts any interrupted cycle the copy ends with.
-        prior = Path(history_path).read_bytes() if history_path else b""
         out.mkdir(parents=True, exist_ok=True)
         # Lower cycle directories hold the reports of the cycles continued.
         for n, stale in cycle_dirs(out):

@@ -16,9 +16,9 @@ from cisched.scheduling import (
     greedy_assignment,
 )
 
-# Calibrated node throughput (benchmarks/calibrate.py): the node budget
-# is time_budget_ms times this, and each kernel call takes this many nodes,
-# few enough to keep the wall-clock check responsive.
+# Calibrated node throughput (benchmarks/sizes.py prints a suggested value):
+# the node budget is time_budget_ms times this, and each kernel call takes
+# this many nodes, few enough to keep the wall-clock check responsive.
 NODES_PER_MS = 70
 # The wall-clock deadline is a safety net against a badly calibrated node
 # budget, generous so ordinary runs are bounded by the node budget alone

@@ -17,9 +17,10 @@ from helpers import make_agent, make_test, src_env
 FAST_ENV = src_env()
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, input=None):
     return subprocess.run(
         [sys.executable, "-m", "cisched.cli", *args],
+        input=input,
         capture_output=True,
         text=True,
         env=env or FAST_ENV,
@@ -286,6 +287,43 @@ def test_simulate_continues_a_campaign(tmp_path):
         fh.write(json.dumps(interrupted) + "\n")
     assert simulate(same, 3, "--history", str(same / "history.jsonl")) == log
     assert cycle_files(same) == cycle_files(whole)
+
+
+def test_simulate_continues_a_campaign_from_a_pipe(tmp_path):
+    # A pipe gives its bytes once: the run must not read the log twice, and
+    # must write what the same run from the file writes.
+    config = tmp_path / "config.yaml"
+    config.write_text("workload:\n  test_count: 12\n  agent_count: 2\n  budget: 10.0\n", encoding="utf-8")
+    gen = tmp_path / "gen"
+    assert run_cli("generate-workload", "--config", str(config), "--out", str(gen), "--seed", "5").returncode == 0
+
+    def simulate(out, *extra, log=None):
+        # With input, the child's /dev/stdin is a pipe.
+        return run_cli(
+            "simulate", "--config", str(config), "--repo", str(gen / "repository.json"),
+            "--out", str(out), "--cycles", "2", "--seed", "3", *extra, input=log,
+        )
+
+    def outputs(out):
+        files = [p for p in out.rglob("*") if p.is_file() and p.name != "timings.jsonl"]
+        return {p.relative_to(out): p.read_bytes() for p in files}
+
+    first, from_file, from_pipe = tmp_path / "first", tmp_path / "file", tmp_path / "pipe"
+    assert simulate(first).returncode == 0
+    log = (first / "history.jsonl").read_text(encoding="utf-8")
+    proc = simulate(from_file, "--history", str(first / "history.jsonl"))
+    assert proc.returncode == 0, proc.stderr
+    proc = simulate(from_pipe, "--history", "/dev/stdin", log=log)
+    assert proc.returncode == 0, proc.stderr
+    assert outputs(from_pipe) == outputs(from_file)
+    assert (from_pipe / "history.jsonl").read_text(encoding="utf-8").startswith(log)
+
+    # A malformed log from a pipe fails before anything under --out exists.
+    broken = tmp_path / "broken"
+    proc = simulate(broken, "--history", "/dev/stdin", log=log + "{not json\n")
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["message"].startswith("/dev/stdin:")
+    assert not broken.exists()
 
 
 def test_simulate_replaces_an_earlier_runs_cycles(tmp_path):

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cisched.kernels import SearchArgs, get_kernel, search_args, warmup
 from cisched.scheduling import PackedInstance, greedy_assignment, pair_staleness_units
 
-from helpers import make_agent, make_instance, make_test, random_instance, src_env
-
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import make_agent, make_instance, make_test, random_instance
 
 
 def test_warmup_reports_backend():
@@ -227,18 +222,3 @@ def test_tie_break_when_the_incumbent_skips(tb_obligatory, seed, budget, want):
     args = search_args(packed, seed)
     get_kernel("python")(*args, budget)
     assert args.inc_assign == want
-
-
-def test_calibrate_runs():
-    # The calibration tool the README points to must keep running.
-    script = str(ROOT / "benchmarks" / "calibrate.py")
-    args = ["--tests", "30", "--agents", "3", "--repeats", "1", "--target-ms", "20"]
-    proc = subprocess.run(
-        [sys.executable, script, *args],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert any(line.lstrip().startswith("python:") for line in proc.stdout.splitlines())
