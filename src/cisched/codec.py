@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import reprlib
-import types
 import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
@@ -97,8 +96,8 @@ def dump(data: Any, path: str | Path) -> None:
 
 # A value rule is (JSON type, decoder, encoder, as-is types). The decoder
 # runs only after the exact type check passed; None stands for the identity.
-# As-is types pass unchanged: None where null is allowed, and an enum's own
-# members, which only Python callers such as config overrides can pass.
+# As-is types pass unchanged: an enum's own members, which only Python
+# callers such as config overrides can pass.
 _Rule = tuple[type, "Callable | None", "Callable | None", tuple]
 
 
@@ -155,10 +154,6 @@ def _class_codec(cls: type) -> tuple[Callable, Callable]:
 
 def _rule(hint: Any) -> _Rule:
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        (inner,) = [a for a in args if a is not type(None)]
-        want, dec, enc, as_is = _rule(inner)
-        return want, dec, enc and (lambda v: None if v is None else enc(v)), (*as_is, type(None))
     if hint in (str, int, float, bool):
         return hint, None, None, ()
     if isinstance(hint, type) and issubclass(hint, Enum):
@@ -215,8 +210,7 @@ def _loose(v: Any, want: type, as_is: tuple) -> Any:
         return float(v)
     if type(v) in as_is:
         return v
-    expected = f"{want.__name__} or null" if type(None) in as_is else want.__name__
-    raise DecodeError(f"expected {expected}, got {_describe(v)}")
+    raise DecodeError(f"expected {want.__name__}, got {_describe(v)}")
 
 
 def _describe(v: Any) -> str:

@@ -441,43 +441,44 @@ def load_history(path: str | Path) -> HistoryStore:
     same without it. A log that is not a regular file, such as a pipe, is
     read forward once and gets no checkpoint.
     """
-    log = Path(path)
-    checkpoint_path = log.with_name(log.name + ".checkpoint")
     with open(path, "rb") as fh:
-        # Only a regular file can be read again from its start, and only
-        # beside one does a checkpoint describe the bytes read; a pipe or
-        # other stream is read forward once, without a checkpoint.
-        mode = os.fstat(fh.fileno()).st_mode
-        checkpoint = _read_checkpoint(checkpoint_path) if stat.S_ISREG(mode) else None
-        digest = hashlib.sha256()
-        store, offset, number = HistoryStore(), 0, 0
-        if checkpoint is not None:
-            if _hash_prefix(fh, digest, checkpoint.log_bytes) == checkpoint.log_sha256:
-                store, offset = _restore(checkpoint), checkpoint.log_bytes
-                number = checkpoint.log_lines
-            else:
-                fh.seek(0)
-                digest = hashlib.sha256()
-        mark = _replay(path, fh, store, digest, offset, number)
-    if mark is not None and stat.S_ISREG(mode):
-        _write_checkpoint(checkpoint_path, mode, store, *mark)
-    return store
+        return _load(path, fh, os.fstat(fh.fileno()).st_mode)
 
 
 def load_history_copy(path: str | Path) -> tuple[HistoryStore, bytes]:
-    """load_history(path), and the log's bytes, reading a pipe only once.
+    """load_history(path), and the log's bytes, reading the log only once.
 
-    A regular file is loaded as load_history loads it, through its
-    checkpoint, and then read whole. A pipe, such as ``<(cat log)``, gives
-    its bytes once, so they are read whole and replayed from memory.
+    The bytes are read whole and loaded from memory, so a pipe, such as
+    ``<(cat log)``, gives them once, and a regular file still gets its
+    checkpoint.
     """
     with open(path, "rb") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            return load_history(path), fh.read()
+        mode = os.fstat(fh.fileno()).st_mode
         data = fh.read()
-    store = HistoryStore()
-    _replay(path, io.BytesIO(data), store, hashlib.sha256(), 0, 0)
-    return store, data
+    return _load(path, io.BytesIO(data), mode), data
+
+
+def _load(path: str | Path, fh: BinaryIO, mode: int) -> HistoryStore:
+    """The store of the log at path, read from fh; mode is the log's st_mode."""
+    log = Path(path)
+    checkpoint_path = log.with_name(log.name + ".checkpoint")
+    # Only a regular file can be read again from its start, and only
+    # beside one does a checkpoint describe the bytes read; a pipe or
+    # other stream is read forward once, without a checkpoint.
+    checkpoint = _read_checkpoint(checkpoint_path) if stat.S_ISREG(mode) else None
+    digest = hashlib.sha256()
+    store, offset, number = HistoryStore(), 0, 0
+    if checkpoint is not None:
+        if _hash_prefix(fh, digest, checkpoint.log_bytes) == checkpoint.log_sha256:
+            store, offset = _restore(checkpoint), checkpoint.log_bytes
+            number = checkpoint.log_lines
+        else:
+            fh.seek(0)
+            digest = hashlib.sha256()
+    mark = _replay(path, fh, store, digest, offset, number)
+    if mark is not None and stat.S_ISREG(mode):
+        _write_checkpoint(checkpoint_path, mode, store, *mark)
+    return store
 
 
 def _replay(

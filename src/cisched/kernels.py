@@ -46,6 +46,12 @@ from typing import Sequence
 
 from cisched.scheduling import PackedInstance, density_order
 
+
+def _pairs(assignment, rank_to_idx, agent_rank):
+    """The assignment's (test rank, agent rank) pairs, sorted by test rank."""
+    return [(r, agent_rank[assignment[i]]) for r, i in enumerate(rank_to_idx) if assignment[i] >= 0]
+
+
 def _search_chunk(
     n,
     dur,  # [n] duration units
@@ -85,43 +91,18 @@ def _search_chunk(
         back = False
 
         if d == n:
-            # Leaf: full assignment. Replace the incumbent if strictly
-            # better, or equal with a smaller sorted (test, agent) pair key.
+            # Leaf: full assignment. Replace the incumbent if its objective
+            # is lexicographically larger, or equal with a smaller sorted
+            # (test rank, agent rank) pair list.
             nodes += 1
             back = True
-            better = False
-            if acc[0] != inc_acc[0]:
-                better = acc[0] > inc_acc[0]
-            elif acc[1] != inc_acc[1]:
-                better = acc[1] > inc_acc[1]
-            elif acc[2] != inc_acc[2]:
-                better = acc[2] > inc_acc[2]
-            else:
-                # The sorted (test_rank, agent_rank) pair lists agree up to
-                # the first test rank where the assignments differ.
-                for r in range(n):
-                    ja = assign[rank_to_idx[r]]
-                    jb = inc_assign[rank_to_idx[r]]
-                    if ja != jb:
-                        if ja >= 0 and jb >= 0:
-                            better = agent_rank[ja] < agent_rank[jb]
-                        else:
-                            # The side that skips this test is smaller only
-                            # as a strict prefix: it places no later test.
-                            rest = assign if ja < 0 else inc_assign
-                            later = False
-                            for k in range(r + 1, n):
-                                if rest[rank_to_idx[k]] >= 0:
-                                    later = True
-                                    break
-                            better = later != (ja < 0)
-                        break
-            if better:
-                for i in range(n):
-                    inc_assign[i] = assign[i]
-                inc_acc[0] = acc[0]
-                inc_acc[1] = acc[1]
-                inc_acc[2] = acc[2]
+            if acc > inc_acc or (
+                acc == inc_acc
+                and _pairs(assign, rank_to_idx, agent_rank)
+                < _pairs(inc_assign, rank_to_idx, agent_rank)
+            ):
+                inc_assign[:] = assign
+                inc_acc[:] = acc
 
         elif pos[d] == 0:
             # Fresh node: bound the subtree against the incumbent. Each

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,41 @@ def test_criterion_6_determinism(tmp_path):
             if rel.name == "timings.jsonl":
                 continue  # measured wall times, excluded from the contract
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+def test_determinism_at_the_largest_benchmarked_size(tmp_path):
+    # Criterion 6 at 2000x16, where reruns repeat only if every search
+    # stops at its node budget or exhausts its tree, never at the wall
+    # deadline.
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "workload: {test_count: 2000, agent_count: 16, budget: 720.0}\n"
+        "solver: {time_budget_ms: 100}\n"
+        "simulation: {cycles: 3}\n",
+        encoding="utf-8",
+    )
+    outs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "cisched.cli", "simulate",
+                "--config", str(config), "--out", str(out), "--seed", "17",
+            ],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+
+    timings = [json.loads(row) for out in outs for row in out.pop(Path("timings.jsonl")).splitlines()]
+    first, second = outs
+    assert first.keys() == second.keys()
+    assert [rel for rel in first if first[rel] != second[rel]] == []
+    assert len(timings) == 6
+    assert all(row["stop"] in ("node_budget", "exhausted") for row in timings), timings
 
 
 def _anytime_instance():
