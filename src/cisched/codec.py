@@ -83,7 +83,7 @@ def load(cls: type[T], path: str | Path, *, version_optional: bool = False) -> T
     text = Path(path).read_text(encoding="utf-8")
     try:
         return decode(cls, json.loads(text), version_optional=version_optional)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -251,7 +251,10 @@ def _parse_line(line: str) -> ExecutionRecord | _CycleMarker | None:
     line = line.strip()
     if not line:
         return None
-    obj = json.loads(line)
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if type(obj) is not dict:
         raise ValueError("expected an object")
     kind = obj.pop("type", None)

@@ -7,6 +7,8 @@ in place, so greedy never pays for them. Each test's children are one row
 of a CSR layout (compressed sparse rows): test i's agent columns and their
 pair staleness sit at ``child_start[i]`` up to ``child_start[i + 1]`` of
 ``child_agents`` and ``child_stale``, so the kernel does no 2-D indexing.
+Their staleness is :func:`cisched.scheduling.pair_staleness_units`, the
+rule the objective and the oracle score pairs with.
 
 Each fresh node's priority bound is Dantzig's fractional-knapsack bound
 over the undecided tests against the pooled residual capacity (Martello
@@ -33,8 +35,7 @@ stops in: past the counted child when it took the last node, inside the
 child when its parent's fresh node did.
 
 The trees are argument lists like the rest of the traversal state, so
-chunked calls resume exactly, and an exhausted search leaves them, with
-``ctl[1]`` = 0, as :func:`search_args` built them.
+chunked calls resume exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import Sequence
 
-from cisched.scheduling import PackedInstance, density_order
+from cisched.scheduling import PackedInstance, density_order, pair_staleness_units
 
 
 def _pairs(assignment, rank_to_idx, agent_rank):
@@ -211,10 +212,6 @@ def _search_chunk(
             # choice. Backtracking past the root ends the search.
             if d == 0:
                 done = 1
-                # Leave the trees as search_args built them.
-                bit_dur[:] = _fenwick([dur[i] for i in dens_order])
-                bit_prio[:] = _fenwick([prio[i] for i in dens_order])
-                ctl[1] = 0
                 break
             d -= 1
             ctl[0] = d
@@ -287,16 +284,16 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     # implicit last. stalest holds each row's first staleness (0 if empty).
     # A child sorts by the int (cap - staleness) * m + agent rank, so keys
     # ascend stalest-first with ties by rank, and // m and % m undo them.
-    # Staleness follows pair_staleness_units in one pass over the pair
-    # history: a pair that never ran has cap, and without diversity all 0.
+    # pair_staleness_units scores the pair history in one call; a pair
+    # outside it never ran, and its offset comes from the same rule.
     instance = packed.instance
-    cycle, cap, m = instance.current_cycle, instance.staleness_cap, packed.m
+    cycle, cap, diversity = instance.current_cycle, instance.staleness_cap, instance.diversity
+    m, pairs = packed.m, instance.pair_last_cycle
     col = {a_id: j for j, a_id in enumerate(packed.agent_ids)}
     offsets: dict[str, dict[int, int]] = {}
-    if instance.diversity:
-        for (t_id, a_id), last in instance.pair_last_cycle.items():
-            offsets.setdefault(t_id, {})[col[a_id]] = (cap - min(max(cycle - last, 0), cap)) * m
-    never = 0 if instance.diversity else cap * m
+    for (t_id, a_id), u in zip(pairs, pair_staleness_units(pairs.values(), cycle, cap, diversity)):
+        offsets.setdefault(t_id, {})[col[a_id]] = (cap - u) * m
+    never = (cap - pair_staleness_units([None], cycle, cap, diversity)[0]) * m
     col_of_rank = sorted(range(m), key=rank.__getitem__)
     child_start, child_agents, child_stale, stalest = [0], [], [], []
     for t_id, cols in zip(packed.test_ids, packed.compat):

@@ -15,6 +15,7 @@ from cisched.scheduling import (
     SchedulingInstance,
     check_schedule,
     ensure_obligatory_coverage,
+    pair_staleness_units,
 )
 
 MAX_TESTS = 12
@@ -59,10 +60,15 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
     compat_ext = np.zeros((n, radix), dtype=bool)
     compat_ext[:, 0] = True
     stale_ext = np.zeros((n, radix), dtype=np.int64)
+    last = instance.pair_last_cycle
     for i, agent_cols in enumerate(packed.compat):
-        for j in agent_cols:
+        units = pair_staleness_units(
+            [last.get((packed.test_ids[i], packed.agent_ids[j])) for j in agent_cols],
+            instance.current_cycle, instance.staleness_cap, instance.diversity,
+        )
+        for j, u in zip(agent_cols, units):
             compat_ext[i, j + 1] = True
-            stale_ext[i, j + 1] = packed.stale_units(i, j)
+            stale_ext[i, j + 1] = u
     oblig_cols = np.flatnonzero(packed.oblig)
 
     def pair_key(assign: list[int]) -> list[tuple[str, str]]:

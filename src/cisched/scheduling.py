@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from cisched.domain import TestAgent
 from cisched.priority import PrioritizedTest
@@ -66,20 +66,21 @@ def pair_staleness(
     """Normalized cycles since the pair last ran together; 1.0 if it never did."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return pair_staleness_units(test_id, agent_id, pair_last_cycle, current_cycle, cap) / cap
+    last = pair_last_cycle.get((test_id, agent_id))
+    return pair_staleness_units([last], current_cycle, cap, True)[0] / cap
 
 
 def pair_staleness_units(
-    test_id: str,
-    agent_id: str,
-    pair_last_cycle: Mapping[tuple[str, str], int],
-    current_cycle: int,
-    cap: int,
-) -> int:
-    last = pair_last_cycle.get((test_id, agent_id))
-    if last is None:
-        return cap
-    return min(max(current_cycle - last, 0), cap)
+    lasts: Collection[int | None], current_cycle: int, cap: int, diversity: bool
+) -> list[int]:
+    """Staleness units of pairs, given each pair's last cycle or None if it never ran.
+
+    0 without diversity; cap for a pair that never ran; otherwise the
+    cycles since it last ran, clamped to [0, cap].
+    """
+    if not diversity:
+        return [0] * len(lasts)
+    return [cap if last is None else min(max(current_cycle - last, 0), cap) for last in lasts]
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,9 @@ class PackedInstance:
     the instance order (index == column). Every field is a list of plain
     ints; ``compat`` lists each test's compatible agent columns in
     ascending order, and pair staleness is computed on demand by
-    stale_units. The search reads the duration, priority and obligatory
-    lists as they are; every other list it reads, including the id ranks
-    of its tie-break, is built by cisched.kernels.search_args.
+    pair_staleness_units. The search reads the duration, priority and
+    obligatory lists as they are; every other list it reads, including the
+    id ranks of its tie-break, is built by cisched.kernels.search_args.
     """
 
     def __init__(self, instance: SchedulingInstance) -> None:
@@ -203,29 +204,17 @@ class PackedInstance:
             for t in tests
         ]
 
-    def stale_units(self, i: int, j: int) -> int:
-        """Pair staleness units of test index i on agent column j; 0 without diversity."""
-        instance = self.instance
-        if not instance.diversity:
-            return 0
-        return pair_staleness_units(
-            self.test_ids[i], self.agent_ids[j], instance.pair_last_cycle,
-            instance.current_cycle, instance.staleness_cap,
-        )
-
     def objective_units(self, assign: Sequence[int]) -> tuple[int, int, int]:
         """Exact objective sums for an assignment (test index -> column or -1)."""
         placed = [i for i, j in enumerate(assign) if j >= 0]
         instance = self.instance
-        stale = 0
-        if instance.diversity:
-            # stale_units without its per-pair method call: a solve sums
-            # four assignments, two seeds included.
-            last, cycle, cap = instance.pair_last_cycle, instance.current_cycle, instance.staleness_cap
-            t_ids, a_ids = self.test_ids, self.agent_ids
-            stale = sum([pair_staleness_units(t_ids[i], a_ids[assign[i]], last, cycle, cap) for i in placed])
+        last, t_ids, a_ids = instance.pair_last_cycle, self.test_ids, self.agent_ids
+        stale = pair_staleness_units(
+            [last.get((t_ids[i], a_ids[assign[i]])) for i in placed],
+            instance.current_cycle, instance.staleness_cap, instance.diversity,
+        )
         prio, dur = self.prio_u, self.dur_us
-        return sum([prio[i] for i in placed]), stale, sum([dur[i] for i in placed])
+        return sum([prio[i] for i in placed]), sum(stale), sum([dur[i] for i in placed])
 
     def assignment_to_schedule(self, assign: Sequence[int]) -> Schedule:
         assignments: dict[str, list[str]] = {a_id: [] for a_id in self.agent_ids}

@@ -442,6 +442,15 @@ def test_unknown_config_key_exits_1(tmp_path):
         assert payload["message"].startswith(f"{section}: {key} must be")
         assert not (tmp_path / "x").exists()
 
+    # A file that is not plain YAML is invalid input, named in the message.
+    config.write_text("solver:\n  time_budget_ms: [1", encoding="utf-8")
+    proc = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert payload["message"].startswith(f"{config}: ")
+    assert not (tmp_path / "x").exists()
+
 
 def test_nodes_per_ms_is_an_unknown_key(tmp_path):
     # solver.time_budget_ms alone sizes the search, so a throughput key is

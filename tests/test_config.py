@@ -98,6 +98,23 @@ def test_missing_file():
         parse_config("/nonexistent/config.yaml")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "solver:\n  time_budget_ms: [1",
+        "!!python/object:os.system x\n",
+        "solver: " + "[" * 1_000 + "]" * 1_000 + "\n",
+    ],
+    ids=["syntax_error", "python_tag", "deep_nesting"],
+)
+def test_unreadable_yaml_is_invalid_input_naming_the_file(tmp_path, text):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        parse_config(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_empty_file_is_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, ""))
     assert cfg.solver.time_budget_ms == 2000

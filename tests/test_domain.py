@@ -284,10 +284,11 @@ def marker_line(cycle, version=FORMAT_VERSION):
             ValueError,
             "{path}:1: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
         ),
+        (["[" * 100_000 + "]" * 100_000], ValueError, "{path}:1: JSON nested too deeply"),
     ],
     ids=[
         "marker_gap", "unknown_type", "wrong_cycle", "duplicate", "bad_version", "not_object",
-        "extra_data", "bad_json", "bom",
+        "extra_data", "bad_json", "bom", "deep_nesting",
     ],
 )
 def test_history_log_error_messages(tmp_path, lines, error, message):
@@ -744,6 +745,16 @@ def test_repository_round_trip(tmp_path):
     loaded_tests, loaded_agents = load_repository(path)
     assert loaded_tests == tests
     assert loaded_agents == agents
+
+
+def test_deeply_nested_repository_is_invalid_input(tmp_path):
+    # The JSON parser's RecursionError becomes a ValueError naming the file.
+    path = tmp_path / "repo.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_repository(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_repository_rejects_unknown_fields():

@@ -65,7 +65,8 @@ def test_pair_staleness_values():
     assert pair_staleness("t0", "a0", pairs, 3, cap=8) == 0.0
     assert pair_staleness("t0", "a0", pairs, 20, cap=8) == 1.0
     assert pair_staleness("t0", "a1", pairs, 4, cap=8) == 1.0
-    assert pair_staleness_units("t0", "a0", pairs, 4, 8) == 1
+    assert pair_staleness_units([3, None], 4, 8, True) == [1, 8]
+    assert pair_staleness_units([3, None], 4, 8, False) == [0, 0]
     with pytest.raises(ValueError):
         pair_staleness("t0", "a0", pairs, 4, cap=0)
 
