@@ -80,8 +80,8 @@ def save(obj: Any, path: str | Path) -> None:
 
 def load(cls: type[T], path: str | Path, *, version_optional: bool = False) -> T:
     """Read and decode one document; errors name the file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         return decode(cls, json.loads(text), version_optional=version_optional)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

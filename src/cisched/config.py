@@ -98,8 +98,8 @@ def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = 
     Override keys are dotted, e.g. "solver.time_budget_ms". Unknown sections
     or keys raise UnknownKeyError; values of the wrong type or out of range
     raise TypeMismatchError, naming the section and key; a missing file
-    raises MissingFileError, and a file that is not plain YAML raises
-    ValueError, naming the file.
+    raises MissingFileError, and a file that is not plain UTF-8 YAML
+    raises ValueError, naming the file.
     """
     merged = codec.encode_fields(DEFAULTS)
 
@@ -109,7 +109,7 @@ def parse_config(path: str | Path | None, overrides: Mapping[str, Any] | None = 
             raise MissingFileError(f"config file not found: {path}")
         try:
             loaded = yaml.safe_load(path.read_text(encoding="utf-8"))
-        except (yaml.YAMLError, RecursionError) as exc:
+        except (yaml.YAMLError, RecursionError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
         if loaded is None:
             loaded = {}

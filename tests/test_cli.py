@@ -6,10 +6,12 @@ import csv
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from cisched import ExecutionRecord, Outcome, save_repository
+from cisched.cli import main
 from cisched.codec import FORMAT_VERSION, encode_fields
 
 from helpers import make_agent, make_test, src_env
@@ -26,6 +28,13 @@ def run_cli(*args, env=None, input=None):
         env=env or FAST_ENV,
         timeout=300,
     )
+
+
+def run_main(capsys, *args):
+    """cisched.cli.main in this process, with run_cli's result fields."""
+    returncode = main(list(args))
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=returncode, stdout=out, stderr=err)
 
 
 def write_repo(tmp_path, tests, agents):
@@ -412,7 +421,7 @@ def test_infeasible_cycle_exits_1_with_ids(tmp_path):
     assert payload["test_ids"] == ["t0"]
 
 
-def test_unknown_config_key_exits_1(tmp_path):
+def test_unknown_config_key_exits_1(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text("solver:\n  tiem_budget_ms: 100\n", encoding="utf-8")
     proc = run_cli(
@@ -424,6 +433,8 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert "tiem_budget_ms" in payload["message"]
 
     # An out-of-range value in any section names the section and the key.
+    # These and the case below run in this process: a subprocess each costs
+    # an interpreter start.
     for section, key, value in [
         ("priority", "decay", 2.0),
         ("solver", "staleness_cap", 0),
@@ -435,7 +446,7 @@ def test_unknown_config_key_exits_1(tmp_path):
         ("workload", "test_count", -1),
     ]:
         config.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
-        proc = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x"))
+        proc = run_main(capsys, "simulate", "--config", str(config), "--out", str(tmp_path / "x"))
         assert proc.returncode == 1
         payload = json.loads(proc.stderr)
         assert payload["error"] == "type_mismatch"
@@ -444,12 +455,22 @@ def test_unknown_config_key_exits_1(tmp_path):
 
     # A file that is not plain YAML is invalid input, named in the message.
     config.write_text("solver:\n  time_budget_ms: [1", encoding="utf-8")
-    proc = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "x"))
+    proc = run_main(capsys, "simulate", "--config", str(config), "--out", str(tmp_path / "x"))
     assert proc.returncode == 1
     payload = json.loads(proc.stderr)
     assert payload["error"] == "invalid_input"
     assert payload["message"].startswith(f"{config}: ")
     assert not (tmp_path / "x").exists()
+
+
+def test_non_utf8_repository_is_invalid_input_naming_the_file(tmp_path, capsys):
+    repo = tmp_path / "repository.json"
+    repo.write_bytes(b"\xff{}")
+    proc = run_main(capsys, "validate", "--repo", str(repo))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert payload["message"].startswith(f"{repo}: ")
 
 
 def test_nodes_per_ms_is_an_unknown_key(tmp_path):

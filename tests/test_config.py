@@ -115,6 +115,15 @@ def test_unreadable_yaml_is_invalid_input_naming_the_file(tmp_path, text):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_non_utf8_yaml_is_invalid_input_naming_the_file(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"\xffsolver: {}\n")
+    with pytest.raises(ValueError) as info:
+        parse_config(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_empty_file_is_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, ""))
     assert cfg.solver.time_budget_ms == 2000

@@ -757,6 +757,16 @@ def test_deeply_nested_repository_is_invalid_input(tmp_path):
     assert str(info.value).startswith(f"{path}: ")
 
 
+def test_non_utf8_repository_is_invalid_input(tmp_path):
+    # The decode error becomes a ValueError naming the file.
+    path = tmp_path / "repo.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError) as info:
+        load_repository(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_repository_rejects_unknown_fields():
     doc = encode(Repository((make_test("t0"),), (make_agent("a0"),)))
     doc["tests"][0]["color"] = "red"

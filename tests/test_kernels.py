@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -73,17 +74,18 @@ def fenwick_prefix(tree, k):
 
 
 def linear_scan_bound(args):
-    """The priority bound at the current node by a scan of the density order."""
+    """The priority bound, the time bound and the prefix length k at the
+    current node, by a scan of the density order."""
     d = args.ctl[0]
     p_bound, rem = args.acc[0], args.capacity - args.acc[2]
-    for i in args.dens_order:
+    for k, i in enumerate(args.dens_order):
         if i < d:
             continue
         p_bound += args.prio[i]
         if args.dur[i] > rem:
-            break
+            return p_bound, args.capacity, k
         rem -= args.dur[i]
-    return p_bound
+    return p_bound, args.capacity - rem, args.n
 
 
 def descends_against(args, inc_priority):
@@ -121,9 +123,88 @@ def test_fenwick_trees_hold_the_undecided_tests(seed, diversity, whole):
             # A fresh node that the bound does not prune against a
             # worthless incumbent: the kernel prunes it exactly when the
             # incumbent's priority exceeds the linear scan's bound.
-            bound = linear_scan_bound(args)
+            bound, _, _ = linear_scan_bound(args)
             assert descends_against(args, bound)
             assert not descends_against(args, bound + 1)
+
+
+def roomy(instance):
+    """The instance with each agent's budget raised so that the pooled
+    capacity exceeds the total demand: the root's bound has no break item."""
+    demand = sum(p.test.avg_duration for p in instance.prioritized)
+    budget = float(int(demand / len(instance.agents)) + 1)
+    return replace(instance, agents=tuple(replace(a, budget=budget) for a in instance.agents))
+
+
+def bound_source(args):
+    """Where the fresh node at ctl[0] takes its bound from: the lift at the
+    root and wherever the prefix may move, else its parent's triple in bnd,
+    by case (a) placed inside the prefix, (b) skipped past the break item
+    or (c) skipped with no break item."""
+    d = args.ctl[0]
+    if d == 0:
+        return "lift"
+    k = args.bnd[3 * d - 1]
+    q = args.dens_pos[d - 1]
+    if args.assign[d - 1] >= 0:
+        return "a" if q <= k else "lift"
+    if q > k + 1:
+        return "b"
+    return "c" if k == args.n else "lift"
+
+
+def check_bound_reads(instance, max_nodes=3_000):
+    """Step the kernel one node at a time from the greedy seed. After every
+    fresh node that read a bound, its bnd triple must equal the linear scan,
+    and only a lift may move the trees' depth. Returns how many bounds came
+    from each source."""
+    packed = PackedInstance(instance)
+    args = search_args(packed, greedy_assignment(packed))
+    kernel = get_kernel("python")
+    sources = Counter()
+    done = used = 0
+    while not done and used < max_nodes:
+        d, held = args.ctl
+        reads = (
+            d < args.n and args.pos[d] == 0
+            and args.suffix_oblig_dur[d] <= args.capacity - args.acc[2]
+        )
+        if reads:
+            want = list(linear_scan_bound(args))
+            source = bound_source(args)
+            sources[source] += 1
+        done, nodes = kernel(*args, 1)
+        used += nodes
+        if reads:
+            assert args.bnd[3 * d:3 * d + 3] == want
+            assert args.ctl[1] == (d if source == "lift" else held)
+    return sources
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), diversity=st.booleans(), whole=st.booleans(),
+    room=st.booleans(),
+)
+def test_reused_bounds_match_the_lift(seed, diversity, whole, room):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    instance = replace(random_instance(rng, 12, 4, max_obligatory=4), diversity=diversity)
+    if whole:
+        instance = whole_seconds(instance)
+    if room:
+        instance = roomy(instance)
+    check_bound_reads(instance)
+
+
+def test_reused_bounds_cover_every_case():
+    # The property above cannot pass vacuously: these instances reach the
+    # lift and each of the three reuse cases.
+    sources = Counter()
+    for seed in range(4):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        instance = random_instance(rng, 12, 4, max_obligatory=4, min_tests=8)
+        sources += check_bound_reads(instance) + check_bound_reads(roomy(whole_seconds(instance)))
+    assert set(sources) == {"lift", "a", "b", "c"}
 
 
 def traversal_state(args, done, used):
