@@ -13,10 +13,10 @@ For each size the script prints, as the median and the min-max range over
   that the kernel counts without entering them.
 
 After the table it prints a suggested ``solver.NODES_PER_MS``: half the
-slowest solve throughput (``nodes / wall_ms`` of ``solve_detailed``,
-packing and seeding included) over every run of every row whose search
-used its whole node budget, so that a search that ends early cannot skew
-it.
+lowest per-row median solve throughput (``nodes / wall_ms`` of
+``solve_detailed``, packing and seeding included), over the rows whose
+runs all used their whole node budget, so that neither a search that ends
+early nor one slow run of a drifting host sets it.
 
 The instances are those of ``optimality_gap.py``, at ``--seed``: the table
 sizes, and for each ``--tight`` size cycle 1 of its campaign shaped like
@@ -96,11 +96,15 @@ def row(label: str, results: list[dict]) -> str:
     return f"| {label} | " + " | ".join(cells) + " |"
 
 
-def suggestion(results: list[dict]) -> str:
-    """The suggested NODES_PER_MS, from the runs that used their whole node budget."""
-    throughputs = [r["solve nodes/ms"] for r in results if r["stop"] == "node_budget"]
-    value = f"{max(1, int(min(throughputs) / 2)):,}" if throughputs else "none, no run used its whole node budget"
-    return f"suggested solver.NODES_PER_MS (half the slowest node-budget solve): {value} (current {NODES_PER_MS:,})"
+def suggestion(rows: list[list[dict]]) -> str:
+    """The suggested NODES_PER_MS, from the rows whose runs all used their whole node budget."""
+    medians = [
+        statistics.median(r["solve nodes/ms"] for r in results)
+        for results in rows
+        if all(r["stop"] == "node_budget" for r in results)
+    ]
+    value = f"{max(1, int(min(medians) / 2)):,}" if medians else "none, no row used its whole node budget in every run"
+    return f"suggested solver.NODES_PER_MS (half the lowest row median of node-budget solves): {value} (current {NODES_PER_MS:,})"
 
 
 def instances(args):
@@ -124,13 +128,13 @@ def main(argv=None) -> int:
     print(f"milliseconds unless named; median (min–max) of {args.runs} runs, seed {args.seed}")
     print("| tests×agents | " + " | ".join(COLUMNS) + " |")
     print("| --- " * (len(COLUMNS) + 1) + "|")
-    every = []
+    rows = []
     for label, instance in instances(args):
         results = [measure(instance) for _ in range(args.runs)]
         print(row(label, results), flush=True)
-        every += results
+        rows.append(results)
     print()
-    print(suggestion(every))
+    print(suggestion(rows))
     return 0
 
 

@@ -12,47 +12,27 @@ rule the objective and the oracle score pairs with.
 
 Each fresh node's priority bound is Dantzig's fractional-knapsack bound
 over the undecided tests against the pooled residual capacity (Martello
-and Toth, *Knapsack Problems*, 1990, ch. 2). At the root, and wherever
-the parent's bound does not carry over, it is computed in O(log n) from
-two Fenwick trees (Fenwick, *Softw. Pract. Exp.* 24(3), 1994).
-``bit_dur`` and ``bit_prio`` are indexed by 1-based position in
-``dens_order`` and hold the duration and the priority of exactly the
-tests at depth >= ``ctl[1]``. Descents and backtracks leave them alone.
-Only a fresh node that runs the lift brings them to its own depth d
-first: it removes the tests from ``ctl[1]`` up to d, or adds back those
-from d up to ``ctl[1]``, and sets ``ctl[1]`` to d. Leaves, nodes that the
-obligatory check prunes and nodes that reuse their parent's bound pay no
-tree update. One binary-lifting descent from ``top`` finds the longest
-density prefix whose duration fits the pool, of length k; decided tests
-weigh 0 there, so the test just past that prefix is undecided and is the
-break item. When no break item remains (k = n), every undecided test
-fits and their total duration is what the descent took from the pool,
-which bounds the used time.
+and Toth, *Knapsack Problems*, 1990, ch. 2): the longest prefix of the
+density order whose undecided tests fit the pool, of length k, plus the
+test just past it, the break item. Decided tests weigh 0 in the prefix,
+so the break item is undecided. When no break item remains (k = n), every
+undecided test fits and their total duration bounds the used time.
 
-Every fresh node that reads a bound stores its priority bound, its time
-bound and k at ``bnd[3d:3d + 3]``. A fresh node at depth d > 0 lies
-below the last node that read a bound at depth d - 1, its parent, and
-with q = ``dens_pos[d - 1]`` and the parent's k it takes its bound from
-there, without the trees, in three cases (Horowitz and Sahni, *J. ACM*
-21(2), 1974, carry the break item down the same way):
-
-- (a) test d - 1 was placed and q <= k. The pool and every prefix sum
-  from q on fall by its duration, and the sums before q were already at
-  most the sum up to q less that duration, so the same k is the longest
-  prefix that fits. The priority the test leaves the prefix is now in
-  ``acc[0]``, and the time bound stays ``acc[2]`` plus the pool, or plus
-  the undecided duration when k = n: both bounds are the parent's.
-- (b) test d - 1 was skipped and q > k + 1. The pool and the prefix up to
-  the break item, the item itself included, are unchanged: the bounds
-  are the parent's.
-- (c) test d - 1 was skipped and k = n. Every undecided test still fits,
-  so k stays n, and the prefix has lost exactly that test: the priority
-  bound is the parent's less ``prio[d - 1]`` and the time bound the
-  parent's less ``dur[d - 1]``.
-
-Any other node (placed past the break item, or skipped at or before it
-while one exists) may move the prefix and runs the lift, so a bound
-still costs O(log n) at worst. The trees stay behind until then.
+Every fresh node that reads a bound stores ``acc[0]`` plus the prefix's
+priority, the pool less the prefix's duration (``rem``) and k at
+``bnd[3d:3d + 3]``; the root starts from ``(acc[0], pool, 0)``. A fresh
+node at depth d > 0 lies below the last node that read a bound at depth
+d - 1, its parent, and starts from its triple, carrying the break item
+down as Horowitz and Sahni do (*J. ACM* 21(2), 1974). Test d - 1 now
+weighs 0. Placed past the prefix, it moves its priority into ``acc[0]``
+and its duration out of the pool, so the first value gains its priority
+and ``rem`` loses its duration. Skipped inside the prefix, it leaves the
+prefix, so the first value loses its priority and ``rem`` gains its
+duration. Otherwise the triple holds as it is. The node then walks k
+back while ``rem`` < 0, each undecided test passed giving back its
+priority and duration (the last one did not fit, so it is the break
+item), or else forward over decided tests and undecided ones that fit. A
+bound costs O(1) plus the positions its break item moves.
 
 A descent does not enter a child whose fresh node the pooled obligatory
 check would prune (the obligatory tests below it need more than the pool
@@ -62,8 +42,8 @@ child, pruning it and backtracking, and so is the state a node budget
 stops in: past the counted child when it took the last node, inside the
 child when its parent's fresh node did.
 
-The trees and ``bnd`` are argument lists like the rest of the traversal
-state, so chunked calls resume exactly.
+``bnd`` is an argument list like the rest of the traversal state, so
+chunked calls resume exactly.
 """
 
 from __future__ import annotations
@@ -91,9 +71,6 @@ def _search_chunk(
     child_stale,  # [child_start[n]] pair staleness units of each child
     dens_order,  # [n] test indices by exact descending priority density
     dens_pos,  # [n] 1-based position of each test in dens_order
-    bit_dur,  # [n+1] Fenwick tree of undecided durations by density position
-    bit_prio,  # [n+1] Fenwick tree of undecided priorities by density position
-    top,  # highest power of two <= n, 0 when n is 0
     suffix_stale,  # [n+1] sum of per-test max staleness over tests >= d
     suffix_oblig_dur,  # [n+1] sum of obligatory durations over tests >= d
     rank_to_idx,  # [n] test index holding each sorted-id rank
@@ -103,8 +80,8 @@ def _search_chunk(
     assign,  # [n] current partial assignment, -1 = unassigned
     residual,  # [m] remaining budget per agent
     acc,  # [3] accumulated (priority, staleness, time)
-    ctl,  # [2] current depth, depth from which the trees hold the tests
-    bnd,  # [3(n+1)] per depth: priority bound, time bound and prefix length k of its last bound
+    ctl,  # [1] current depth
+    bnd,  # [3(n+1)] per depth: acc[0] plus prefix priority, pool less prefix duration, prefix length k
     inc_assign,  # [n] incumbent assignment
     inc_acc,  # [3] incumbent objective
     node_budget,  # max nodes to expand in this call
@@ -147,71 +124,55 @@ def _search_chunk(
                 # is pooled: no feasible leaf below this node.
                 back = True
             else:
-                # Dantzig bound: the longest density prefix of undecided
-                # tests that fits the pool. Below the root it is often the
-                # parent's, read from bnd in O(1) (module docstring, cases
-                # (a)-(c)); otherwise one binary-lifting descent over the
-                # trees finds it (decided tests weigh 0) once they hold the
-                # tests at depth >= d.
+                # Dantzig bound: walk the break item from the parent's
+                # prefix, or from the empty one at the root (module
+                # docstring); test d - 1 now weighs 0.
                 b = 3 * d
-                lift = True
                 if d:
-                    p_bound = bnd[b - 3]
-                    t_bound = bnd[b - 2]
-                    k = bnd[b - 1]
-                    q = dens_pos[d - 1]
-                    if assign[d - 1] >= 0:
-                        # (a) Placed inside the prefix.
-                        lift = q > k
-                    elif q > k + 1:
-                        # (b) Skipped past the break item.
-                        lift = False
-                    elif k == n:
-                        # (c) Skipped with no break item.
-                        p_bound -= prio[d - 1]
-                        t_bound -= dur[d - 1]
-                        lift = False
-                if lift:
-                    t = ctl[1]
-                    while t < d:
-                        k = dens_pos[t]
-                        while k <= n:
-                            bit_dur[k] -= dur[t]
-                            bit_prio[k] -= prio[t]
-                            k += k & -k
-                        t += 1
-                    while t > d:
-                        t -= 1
-                        k = dens_pos[t]
-                        while k <= n:
-                            bit_dur[k] += dur[t]
-                            bit_prio[k] += prio[t]
-                            k += k & -k
-                    ctl[1] = d
-                    p_bound = acc[0]
-                    rem = pool
-                    k = 0
-                    step = top
-                    while step > 0:
-                        if k + step <= n and bit_dur[k + step] <= rem:
-                            k += step
-                            rem -= bit_dur[k]
-                            p_bound += bit_prio[k]
-                        step >>= 1
-                    if k < n:
-                        # Whole break item: at least the fractional
-                        # relaxation, which bounds the 0/1 optimum. It is
-                        # undecided, since a decided test weighs 0 and would
-                        # extend the prefix.
-                        p_bound += prio[dens_order[k]]
-                        t_bound = acc[2] + pool
-                    else:
-                        # Every undecided test fits: the descent took their
-                        # total duration from the pool.
-                        t_bound = acc[2] + pool - rem
+                    p_bound, rem, k = bnd[b - 3], bnd[b - 2], bnd[b - 1]
+                    t = d - 1
+                    if assign[t] >= 0:
+                        if dens_pos[t] > k:
+                            # Placed past the prefix.
+                            p_bound += prio[t]
+                            rem -= dur[t]
+                    elif dens_pos[t] <= k:
+                        # Skipped inside the prefix.
+                        p_bound -= prio[t]
+                        rem += dur[t]
+                else:
+                    p_bound, rem, k = acc[0], pool, 0
+                if rem < 0:
+                    # Only a placed test shrinks the pool: give back the
+                    # prefix's last undecided tests until it fits.
+                    while rem < 0:
+                        k -= 1
+                        t = dens_order[k]
+                        if t >= d:
+                            p_bound -= prio[t]
+                            rem += dur[t]
+                else:
+                    while k < n:
+                        t = dens_order[k]
+                        if t >= d:
+                            if dur[t] > rem:
+                                break
+                            p_bound += prio[t]
+                            rem -= dur[t]
+                        k += 1
                 bnd[b] = p_bound
-                bnd[b + 1] = t_bound
+                bnd[b + 1] = rem
                 bnd[b + 2] = k
+                if k < n:
+                    # Whole break item, the test t at position k where the
+                    # walk stopped: at least the fractional relaxation,
+                    # which bounds the 0/1 optimum.
+                    p_bound += prio[t]
+                    t_bound = capacity
+                else:
+                    # Every undecided test fits: their total duration is
+                    # what the walk took from the pool.
+                    t_bound = capacity - rem
                 d_bound = acc[1] + suffix_stale[d]
                 if p_bound != inc_acc[0]:
                     back = p_bound < inc_acc[0]
@@ -302,20 +263,6 @@ def _suffix_sums(values: Sequence[int]) -> list[int]:
     return list(accumulate(reversed(values), initial=0))[::-1]
 
 
-def _fenwick(values: Sequence[int]) -> list[int]:
-    """[n+1] Fenwick tree over values[0..n-1] at 1-based positions, in O(n).
-
-    Entry k holds the sum of the positions in (k - (k & -k), k], so a
-    prefix sum or a point update touches O(log n) entries.
-    """
-    tree = [0, *values]
-    for k in range(1, len(tree)):
-        parent = k + (k & -k)
-        if parent < len(tree):
-            tree[parent] += tree[k]
-    return tree
-
-
 SearchArgs = namedtuple("SearchArgs", list(inspect.signature(_search_chunk).parameters)[:-1])
 
 
@@ -358,8 +305,6 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
         child_start.append(len(child_agents))
         stalest.append(cap - keys[0] // m if keys else 0)
     dur, prio, oblig = packed.dur_us, packed.prio_u, packed.oblig
-    # Fenwick trees over density positions; at the root every test is
-    # undecided, so they hold all of them.
     order = density_order(prio, dur)
     dens_pos = [0] * n
     for k, i in enumerate(order):
@@ -368,13 +313,11 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
         n, dur, prio, oblig,
         child_start, child_agents, child_stale,
         order, dens_pos,
-        _fenwick([dur[i] for i in order]), _fenwick([prio[i] for i in order]),
-        1 << (n.bit_length() - 1) if n else 0,
         _suffix_sums(stalest), _suffix_sums([t * o for t, o in zip(dur, oblig)]),
         rank_to_idx, rank, sum(packed.budget_us),
         # Traversal state at the root: pos, assign, residual, acc, ctl, bnd.
         [0] * (n + 1), [-1] * n, list(packed.budget_us),
-        [0, 0, 0], [0, 0], [0] * (3 * (n + 1)),
+        [0, 0, 0], [0], [0] * (3 * (n + 1)),
         list(incumbent), list(packed.objective_units(incumbent)),
     )
 

@@ -38,11 +38,15 @@ class SolveStats:
     """
 
     nodes: int
-    completed: bool
     wall_ms: float
     node_budget: int
     seed: str
     stop: str
+
+    @property
+    def completed(self) -> bool:
+        """Whether the search finished: ``stop`` is ``exhausted``."""
+        return self.stop == "exhausted"
 
 
 def schedule_optimal(instance: SchedulingInstance) -> Schedule:
@@ -105,7 +109,7 @@ def solve_detailed(
         raise RuntimeError("internal error: obligatory test left unassigned")
     wall_ms = (time.perf_counter() - start) * 1000.0
     stop = "exhausted" if done else "node_budget" if used == node_budget else "wall_deadline"
-    return schedule, SolveStats(used, bool(done), wall_ms, node_budget, seed, stop)
+    return schedule, SolveStats(used, wall_ms, node_budget, seed, stop)
 
 
 def seed_candidates(packed: PackedInstance) -> list[tuple[str, list[int]]]:

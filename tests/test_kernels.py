@@ -65,14 +65,6 @@ def whole_seconds(instance):
     return replace(instance, prioritized=tuple(tests), agents=tuple(agents))
 
 
-def fenwick_prefix(tree, k):
-    total = 0
-    while k:
-        total += tree[k]
-        k -= k & -k
-    return total
-
-
 def linear_scan_bound(args):
     """The priority bound, the time bound and the prefix length k at the
     current node, by a scan of the density order."""
@@ -97,37 +89,6 @@ def descends_against(args, inc_priority):
     return probe.ctl[0] == args.ctl[0] + 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), diversity=st.booleans(), whole=st.booleans())
-def test_fenwick_trees_hold_the_undecided_tests(seed, diversity, whole):
-    # Invariant: the trees hold exactly the tests at depth >= ctl[1], in
-    # density positions, whatever node the kernel stopped at; a fresh node
-    # brings them to its depth ctl[0] before it reads a bound.
-    rng = np.random.Generator(np.random.PCG64(seed))
-    instance = replace(random_instance(rng, 12, 4, max_obligatory=4), diversity=diversity)
-    if whole:
-        instance = whole_seconds(instance)
-    packed = PackedInstance(instance)
-    args = search_args(packed, greedy_assignment(packed))
-    kernel = get_kernel("python")
-    done, used = 0, 0
-    while not done and used < 3_000:
-        done, nodes = kernel(*args, int(rng.integers(1, 40)))
-        used += nodes
-        d, held = args.ctl
-        for k in range(args.n + 1):
-            undecided = [i for i in args.dens_order[:k] if i >= held]
-            assert fenwick_prefix(args.bit_dur, k) == sum(args.dur[i] for i in undecided)
-            assert fenwick_prefix(args.bit_prio, k) == sum(args.prio[i] for i in undecided)
-        if d < args.n and args.pos[d] == 0 and descends_against(args, -1):
-            # A fresh node that the bound does not prune against a
-            # worthless incumbent: the kernel prunes it exactly when the
-            # incumbent's priority exceeds the linear scan's bound.
-            bound, _, _ = linear_scan_bound(args)
-            assert descends_against(args, bound)
-            assert not descends_against(args, bound + 1)
-
-
 def roomy(instance):
     """The instance with each agent's budget raised so that the pooled
     capacity exceeds the total demand: the root's bound has no break item."""
@@ -136,49 +97,48 @@ def roomy(instance):
     return replace(instance, agents=tuple(replace(a, budget=budget) for a in instance.agents))
 
 
-def bound_source(args):
-    """Where the fresh node at ctl[0] takes its bound from: the lift at the
-    root and wherever the prefix may move, else its parent's triple in bnd,
-    by case (a) placed inside the prefix, (b) skipped past the break item
-    or (c) skipped with no break item."""
-    d = args.ctl[0]
-    if d == 0:
-        return "lift"
-    k = args.bnd[3 * d - 1]
-    q = args.dens_pos[d - 1]
-    if args.assign[d - 1] >= 0:
-        return "a" if q <= k else "lift"
-    if q > k + 1:
-        return "b"
-    return "c" if k == args.n else "lift"
+def triple_bounds(args, d):
+    """The priority bound, the time bound and k that the bnd triple at
+    depth d gives."""
+    p_sum, rem, k = args.bnd[3 * d:3 * d + 3]
+    if k < args.n:
+        return p_sum + args.prio[args.dens_order[k]], args.capacity, k
+    return p_sum, args.capacity - rem, k
 
 
 def check_bound_reads(instance, max_nodes=3_000):
     """Step the kernel one node at a time from the greedy seed. After every
-    fresh node that read a bound, its bnd triple must equal the linear scan,
-    and only a lift may move the trees' depth. Returns how many bounds came
-    from each source."""
+    fresh node that read a bound, the bounds its bnd triple gives must equal
+    the linear scan; where the bound does not prune against a worthless
+    incumbent, the kernel must prune exactly when the incumbent's priority
+    exceeds the scan's bound. Returns how the break item's walks went:
+    zero steps, back, forward, and how many ended at k = n."""
     packed = PackedInstance(instance)
     args = search_args(packed, greedy_assignment(packed))
     kernel = get_kernel("python")
-    sources = Counter()
+    walks = Counter()
     done = used = 0
     while not done and used < max_nodes:
-        d, held = args.ctl
+        d = args.ctl[0]
         reads = (
             d < args.n and args.pos[d] == 0
             and args.suffix_oblig_dur[d] <= args.capacity - args.acc[2]
         )
         if reads:
-            want = list(linear_scan_bound(args))
-            source = bound_source(args)
-            sources[source] += 1
+            want = linear_scan_bound(args)
+            start = args.bnd[3 * d - 1] if d else 0
+            if descends_against(args, -1):
+                assert descends_against(args, want[0])
+                assert not descends_against(args, want[0] + 1)
         done, nodes = kernel(*args, 1)
         used += nodes
         if reads:
-            assert args.bnd[3 * d:3 * d + 3] == want
-            assert args.ctl[1] == (d if source == "lift" else held)
-    return sources
+            assert triple_bounds(args, d) == want
+            k = want[2]
+            walks["zero" if k == start else "back" if k < start else "forward"] += 1
+            if k == args.n:
+                walks["k = n"] += 1
+    return walks
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,7 +146,7 @@ def check_bound_reads(instance, max_nodes=3_000):
     seed=st.integers(0, 2**32 - 1), diversity=st.booleans(), whole=st.booleans(),
     room=st.booleans(),
 )
-def test_reused_bounds_match_the_lift(seed, diversity, whole, room):
+def test_walked_bounds_match_the_linear_scan(seed, diversity, whole, room):
     rng = np.random.Generator(np.random.PCG64(seed))
     instance = replace(random_instance(rng, 12, 4, max_obligatory=4), diversity=diversity)
     if whole:
@@ -196,15 +156,22 @@ def test_reused_bounds_match_the_lift(seed, diversity, whole, room):
     check_bound_reads(instance)
 
 
-def test_reused_bounds_cover_every_case():
-    # The property above cannot pass vacuously: these instances reach the
-    # lift and each of the three reuse cases.
-    sources = Counter()
+def test_bound_walks_cover_every_direction():
+    # The property above cannot pass vacuously: these instances walk the
+    # break item zero steps, back and forward, and reach k = n.
+    walks = Counter()
     for seed in range(4):
         rng = np.random.Generator(np.random.PCG64(seed))
         instance = random_instance(rng, 12, 4, max_obligatory=4, min_tests=8)
-        sources += check_bound_reads(instance) + check_bound_reads(roomy(whole_seconds(instance)))
-    assert set(sources) == {"lift", "a", "b", "c"}
+        walks += check_bound_reads(instance) + check_bound_reads(roomy(whole_seconds(instance)))
+    assert set(walks) == {"zero", "back", "forward", "k = n"}
+    # The density prefix t1, t2, t3 fills the 10 s budget exactly. Placing
+    # t0 (7 s, past it) walks back over t3 and t2 to a pool of 3 s that t1
+    # fills exactly, so the walk must stop at rem = 0.
+    tests = [(make_test("t0", duration=7.0), 0.9)] + [
+        (make_test(f"t{i}", duration=w), p) for i, w, p in ((1, 3.0, 0.8), (2, 3.0, 0.7), (3, 4.0, 0.6))
+    ]
+    assert check_bound_reads(make_instance(tests, [make_agent("a0")], diversity=False))["back"] == 1
 
 
 def traversal_state(args, done, used):

@@ -353,7 +353,7 @@ def large_traversal_outcomes(solve=solve_detailed) -> list:
 
 def test_large_traversal_matches_pinned_digest():
     # The random cases stop at 16 tests; pin traversal at 500 and 2000
-    # tests too, where the bound's Fenwick trees are many levels deep.
+    # tests too, where the bound's density prefixes run hundreds of tests.
     outcomes = large_traversal_outcomes()
     assert [o[2:] for o in outcomes] == [[20_000, False]] * 2 + [[5_000, False]] * 2
     got = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
@@ -459,7 +459,7 @@ def search_from_greedy_seed(instance, backend, node_budget):
     args, used, done = run_kernel(packed, greedy_seed(packed), node_budget)
     schedule = packed.assignment_to_schedule(args.inc_assign)
     stop = "exhausted" if done else "node_budget"
-    return schedule, SolveStats(used, bool(done), 0.0, node_budget, "greedy", stop)
+    return schedule, SolveStats(used, 0.0, node_budget, "greedy", stop)
 
 
 def test_kernel_from_the_greedy_seed_keeps_the_pinned_traversal():
