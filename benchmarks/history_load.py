@@ -8,10 +8,12 @@ repeats:
 - warm: load_history with a current checkpoint;
 - warm+1: load_history after append_history added one more cycle, the
   steady state of an executor that appends a cycle and schedules the next;
-- schedule: one in-process ``cisched schedule`` call on the warm log.
+- schedule: one in-process ``cisched schedule`` call on the warm log;
+- report: one in-process ``cisched report --format csv`` call on the
+  campaign's run directory.
 
-With two or more lengths it prints each length's warm schedule time over
-the shortest's, and for each length warm+1 over warm.
+With two or more lengths it prints each length's warm schedule time and
+report time over the shortest's, and for each length warm+1 over warm.
 
 Usage: python3 benchmarks/history_load.py [--cycles 300 1000] [--tests N]
        [--agents M] [--repeats R] [--seed S]
@@ -51,12 +53,23 @@ def timed_ms(call) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
+def cli_ms(argv: list[str]) -> float:
+    """Wall ms of one in-process ``cisched`` call; a failed call raises."""
+
+    def call() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(argv) != 0:
+                raise RuntimeError(f"cisched {' '.join(argv)} failed")
+
+    return timed_ms(call)
+
+
 def summary(samples: list[float]) -> str:
     return f"{statistics.median(samples):.1f} [{min(samples):.1f}-{max(samples):.1f}]"
 
 
 def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
-    """Build one campaign of ``cycles`` cycles and time its loads and a schedule call."""
+    """Build one campaign of ``cycles`` cycles and time its loads, a schedule and a report call."""
     budget = 60.0 * max(1, args.tests // (10 * args.agents))
     spec = WorkloadSpec(args.tests, args.agents, 1.0, 10.0, 0.8, 0.1, 0.01, 0.2, budget, args.seed)
     tests, agents, model = generate_workload(spec)
@@ -100,7 +113,7 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
     config = root / "config.yaml"
     save_repository(tests, agents, repo)
     config.write_text(f"solver:\n  time_budget_ms: {SEARCH_BUDGET_MS}\n", encoding="utf-8")
-    argv = [
+    schedule_argv = [
         "schedule",
         "--repo", str(repo),
         "--history", str(log),
@@ -108,13 +121,9 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
         "--config", str(config),
         "--scheduler", "optimal",
     ]
-
-    def schedule() -> None:
-        with contextlib.redirect_stdout(io.StringIO()):
-            if cli_main(argv) != 0:
-                raise RuntimeError(f"cisched schedule failed on the {cycles}-cycle log")
-
-    schedule_ms = [timed_ms(schedule) for _ in range(args.repeats)]
+    report_argv = ["report", "--in", str(run_dir), "--out", str(root / f"report_{cycles}"), "--format", "csv"]
+    schedule_ms = [cli_ms(schedule_argv) for _ in range(args.repeats)]
+    report_ms = [cli_ms(report_argv) for _ in range(args.repeats)]
     return {
         "cycles": cycles,
         "build_s": build_s,
@@ -124,6 +133,7 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
         "warm": warm_ms,
         "plus_one": plus_one_ms,
         "schedule": schedule_ms,
+        "report": report_ms,
     }
 
 
@@ -151,7 +161,8 @@ def main(argv=None) -> int:
                 f"    cold     {summary(row['cold'])}\n"
                 f"    warm     {summary(row['warm'])}\n"
                 f"    warm+1   {summary(row['plus_one'])}\n"
-                f"    schedule {summary(row['schedule'])}",
+                f"    schedule {summary(row['schedule'])}\n"
+                f"    report   {summary(row['report'])}",
                 flush=True,
             )
     print("warm+1 / warm:", ", ".join(
@@ -159,10 +170,11 @@ def main(argv=None) -> int:
         for r in rows
     ))
     if len(rows) > 1:
-        base = statistics.median(rows[0]["schedule"])
-        print(f"schedule / schedule at {rows[0]['cycles']} cycles:", ", ".join(
-            f"{r['cycles']}: {statistics.median(r['schedule']) / base:.2f}" for r in rows[1:]
-        ))
+        for call in ("schedule", "report"):
+            base = statistics.median(rows[0][call])
+            print(f"{call} / {call} at {rows[0]['cycles']} cycles:", ", ".join(
+                f"{r['cycles']}: {statistics.median(r[call]) / base:.2f}" for r in rows[1:]
+            ))
     return 0
 
 

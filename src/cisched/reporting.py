@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,8 +175,40 @@ def export_plot_data(
 ) -> list[Path]:
     """Write utilization, histogram, and timeline CSVs for plotting.
 
-    The timeline lays each agent's tests end to end in plan order, so the
-    per-agent intervals never overlap. Returns the written paths.
+    The timeline lists the plans by cycle, then agent id (see
+    :func:`timeline_csv`). Returns the written paths.
+    """
+    ordered = sorted(plans, key=lambda p: (p.cycle, p.agent_id))
+    return write_plot_data(reports, [timeline_csv(ordered)], out_dir)
+
+
+def timeline_csv(plans: Iterable[TestPlan]) -> str:
+    """The timeline CSV rows of ``plans``, in the given order, without the header.
+
+    Each agent's tests lie end to end in plan order, so the per-agent
+    intervals never overlap.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for plan in plans:
+        offset = 0.0
+        for entry in plan.entries:
+            writer.writerow(
+                [plan.cycle, plan.agent_id, entry.test_id, offset, entry.planned_duration]
+            )
+            offset += entry.planned_duration
+    return buf.getvalue()
+
+
+def write_plot_data(
+    reports: Sequence[CycleReport],
+    timeline: Iterable[str],
+    out_dir: str | Path,
+) -> list[Path]:
+    """:func:`export_plot_data` with the timeline rendered already.
+
+    ``timeline`` holds :func:`timeline_csv` texts, written in turn under
+    the header, so several cycles' rows can be rendered apart.
     """
     if not reports:
         raise EmptyCampaignError("export_plot_data requires at least one report")
@@ -205,15 +238,8 @@ def export_plot_data(
 
     timeline_path = out / "timeline.csv"
     with _open_for_write(timeline_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cycle", "agent_id", "test_id", "start_offset", "duration"])
-        for plan in sorted(plans, key=lambda p: (p.cycle, p.agent_id)):
-            offset = 0.0
-            for entry in plan.entries:
-                writer.writerow(
-                    [plan.cycle, plan.agent_id, entry.test_id, offset, entry.planned_duration]
-                )
-                offset += entry.planned_duration
+        csv.writer(fh).writerow(["cycle", "agent_id", "test_id", "start_offset", "duration"])
+        fh.writelines(timeline)
 
     return [util_path, hist_path, timeline_path]
 

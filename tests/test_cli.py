@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import csv
+import io
 import json
+import multiprocessing
+import os
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -221,6 +227,114 @@ def test_report_reads_only_finished_cycles(tmp_path):
         with open(report_out / name, encoding="utf-8") as fh:
             cycles = {row["cycle"] for row in csv.DictReader(fh)}
         assert cycles == {"0", "2"}, name
+
+
+REPORT_FILES = ("utilization.csv", "priority_histogram.csv", "timeline.csv", "campaign_summary.json")
+
+
+@pytest.fixture(scope="module")
+def six_cycles(tmp_path_factory):
+    """A finished six-cycle greedy run; a test that changes it works on a copy."""
+    root = tmp_path_factory.mktemp("six_cycles")
+    config = root / "config.yaml"
+    config.write_text(
+        "workload:\n  test_count: 12\n  agent_count: 3\n  budget: 10.0\n"
+        "simulation:\n  cycles: 6\n  scheduler: greedy\n",
+        encoding="utf-8",
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(config), "--out", str(root / "run"), "--seed", "7"]) == 0
+    return root / "run"
+
+
+def report_on_cpus(monkeypatch, capsys, cpus, run, out):
+    """cisched report in this process as if it could run on ``cpus`` CPUs (None: unknown)."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    proc = run_main(capsys, "report", "--in", str(run), "--out", str(out))
+    assert multiprocessing.active_children() == []
+    return proc
+
+
+def test_report_workers_write_the_in_process_bytes(six_cycles, tmp_path, monkeypatch, capsys):
+    # Three CPUs give three workers of two cycles each; one CPU, or an
+    # unknown CPU set, renders in this process.
+    pools = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            pools.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    outputs = {}
+    for cpus in (3, 1, None):
+        out = tmp_path / f"cpus_{cpus}"
+        proc = report_on_cpus(monkeypatch, capsys, cpus, six_cycles, out)
+        assert proc.returncode == 0, proc.stderr
+        outputs[cpus] = [(out / name).read_bytes() for name in REPORT_FILES]
+    assert pools == [3]
+    assert outputs[3] == outputs[1] == outputs[None]
+    with open(tmp_path / "cpus_3" / "timeline.csv", newline="", encoding="utf-8") as fh:
+        keys = [(int(row["cycle"]), row["agent_id"]) for row in csv.DictReader(fh)]
+    # Each plan's rows are contiguous, by cycle, then agent id.
+    plans = list(dict.fromkeys(keys))
+    assert plans == sorted(plans) and len(keys) > len(plans)
+    assert {cycle for cycle, _ in plans} == set(range(6))
+
+
+@pytest.mark.parametrize("cycle", [0, 5], ids=["first-cycle", "last-cycle"])
+def test_report_names_a_malformed_plan_read_by_a_worker(six_cycles, tmp_path, monkeypatch, capsys, cycle):
+    run = tmp_path / "run"
+    shutil.copytree(six_cycles, run)
+    plan = sorted((run / f"cycle_{cycle}").glob("plan_*.json"))[-1]
+    plan.write_text("{not json", encoding="utf-8")
+    messages = []
+    for cpus in (3, 1):
+        out = tmp_path / f"cpus_{cpus}"
+        proc = report_on_cpus(monkeypatch, capsys, cpus, run, out)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "invalid_input"
+        assert payload["message"].startswith(f"{plan}: ")
+        messages.append(payload["message"])
+        assert not (out / "timeline.csv").exists()
+    assert messages[0] == messages[1]
+
+
+def _copy_report(run):
+    shutil.copy(run / "cycle_1" / "report.json", run / "cycle_2" / "report.json")
+    return run / "cycle_2" / "report.json", "holds the report of cycle 1"
+
+
+def _copy_plan(run):
+    source = sorted((run / "cycle_1").glob("plan_*.json"))[0]
+    shutil.copy(source, run / "cycle_2" / source.name)
+    agent = source.name[len("plan_"):-len(".json")]
+    return run / "cycle_2" / source.name, f"holds the plan of agent {agent!r} for cycle 1"
+
+
+def _rename_plan(run):
+    source = sorted((run / "cycle_2").glob("plan_*.json"))[0]
+    moved = source.rename(run / "cycle_2" / "plan_zz.json")
+    agent = source.name[len("plan_"):-len(".json")]
+    return moved, f"holds the plan of agent {agent!r} for cycle 2"
+
+
+@pytest.mark.parametrize("misfile", [_copy_report, _copy_plan, _rename_plan])
+def test_report_refuses_a_file_filed_under_another_cycle_or_agent(
+    six_cycles, tmp_path, monkeypatch, capsys, misfile
+):
+    # Such a file used to be counted under its directory's cycle or its
+    # file name's agent, so one cycle was listed twice and another never.
+    run = tmp_path / "run"
+    shutil.copytree(six_cycles, run)
+    path, what = misfile(run)
+    proc = report_on_cpus(monkeypatch, capsys, 3, run, tmp_path / "out")
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr) == {"error": "invalid_input", "message": f"{path}: {what}"}
 
 
 def test_duplicate_history_record_names_its_line(tmp_path):

@@ -796,3 +796,4 @@ def test_history_load_script_runs(capsys):
     out = capsys.readouterr().out
     assert "warm+1 / warm: 3: " in out
     assert "schedule / schedule at 3 cycles: 6: " in out
+    assert "report / report at 3 cycles: 6: " in out

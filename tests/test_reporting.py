@@ -29,6 +29,7 @@ from cisched import (
     utilization,
 )
 from cisched.codec import FORMAT_VERSION, decode, encode
+from cisched.reporting import timeline_csv, write_plot_data
 
 from helpers import make_agent, make_test
 
@@ -223,6 +224,20 @@ def test_export_plot_data_writes_three_csvs(tmp_path):
 
     with pytest.raises(EmptyCampaignError):
         export_plot_data([], [], tmp_path)
+
+
+def test_timeline_rendered_in_chunks_writes_the_same_bytes(tmp_path):
+    reports = [make_report(0), make_report(1)]
+    plans = [
+        TestPlan("a1", 0, (PlanEntry("t0", planned_duration=2.0, priority=0.9),)),
+        TestPlan("a0", 0, (PlanEntry("t1", planned_duration=1.5, priority=0.4),)),
+        TestPlan("a0", 1, (PlanEntry("t2", planned_duration=1.0, priority=0.5),)),
+    ]
+    whole = export_plot_data(reports, plans, tmp_path / "whole")
+    chunks = [timeline_csv([plans[1], plans[0]]), timeline_csv(plans[2:])]
+    parts = write_plot_data(reports, chunks, tmp_path / "parts")
+    assert [p.read_bytes() for p in parts] == [p.read_bytes() for p in whole]
+    assert whole[2].read_bytes().startswith(b"cycle,agent_id,test_id,start_offset,duration\r\n0,a0,")
 
 
 def test_summary_round_trip_shape():
