@@ -12,6 +12,8 @@ repeats:
 - report: one in-process ``cisched report --format csv`` call on the
   campaign's run directory.
 
+It also prints the size of the checkpoint the loads wrote for the campaign.
+
 With two or more lengths it prints each length's warm schedule time and
 report time over the shortest's, and for each length warm+1 over warm.
 
@@ -99,6 +101,7 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
 
     cold_ms = [timed_ms(cold) for _ in range(args.repeats)]
     warm_ms = [timed_ms(lambda: load_history(log)) for _ in range(args.repeats)]
+    checkpoint_bytes = checkpoint.stat().st_size
     # Each repeat appends a cycle in which every test runs on its first agent.
     plus_one_ms = []
     for cycle in range(cycles, cycles + args.repeats):
@@ -129,6 +132,7 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
         "build_s": build_s,
         "size_mb": size_mb,
         "lines": lines,
+        "checkpoint_bytes": checkpoint_bytes,
         "cold": cold_ms,
         "warm": warm_ms,
         "plus_one": plus_one_ms,
@@ -158,6 +162,7 @@ def main(argv=None) -> int:
             print(
                 f"{cycles:>6} cycles ({row['size_mb']:.1f} MB, {row['lines']} lines,"
                 f" built in {row['build_s']:.1f} s)\n"
+                f"    checkpoint {row['checkpoint_bytes']} bytes\n"
                 f"    cold     {summary(row['cold'])}\n"
                 f"    warm     {summary(row['warm'])}\n"
                 f"    warm+1   {summary(row['plus_one'])}\n"

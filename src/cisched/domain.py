@@ -9,7 +9,7 @@ import json
 import os
 import stat
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -185,40 +185,49 @@ def _check_cycle_block(records: Sequence[ExecutionRecord], cycle: int) -> None:
         seen.add(r.test_id)
 
 
+@dataclass
 class HistoryStore:
     """Execution history reduced to what prioritization reads.
 
-    Per test: the last cycle it ran and its fail flags, oldest first; per
-    (test, agent) pair: the last cycle it ran. Only :meth:`add_cycle`, from
-    a single writer, changes it; readers may share it between calls.
+    The fields are the whole state, and the checkpoint stores them as they
+    are: ``last`` maps a test to the last cycle it ran; ``fails`` spells its
+    results oldest first, "f" for a fail and "p" for a pass; ``pair_last``
+    maps a test and an agent to the last cycle that pair ran. Only
+    :meth:`add_cycle`, from a single writer, changes it; readers may share
+    it between calls.
     """
 
-    def __init__(self) -> None:
-        self._last: dict[str, int] = {}
-        self._fails: dict[str, list[bool]] = {}
-        self._pair_last: dict[tuple[str, str], int] = {}
-        self.current_cycle = 0
+    current_cycle: int = 0
+    last: dict[str, int] = field(default_factory=dict)
+    fails: dict[str, str] = field(default_factory=dict)
+    pair_last: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for test_id, text in self.fails.items():
+            if text.count("f") + text.count("p") != len(text):
+                raise ValueError(f"fail flags of {test_id!r} hold letters other than f and p")
 
     def add_cycle(self, records: Sequence[ExecutionRecord]) -> None:
         """Record the current cycle and advance; a rejected block changes nothing."""
         _check_cycle_block(records, self.current_cycle)
         for r in records:
-            self._last[r.test_id] = r.cycle
-            self._fails.setdefault(r.test_id, []).append(r.outcome is Outcome.FAIL)
-            self._pair_last[(r.test_id, r.agent_id)] = r.cycle
+            self.last[r.test_id] = r.cycle
+            letter = "f" if r.outcome is Outcome.FAIL else "p"
+            self.fails[r.test_id] = self.fails.get(r.test_id, "") + letter
+            self.pair_last.setdefault(r.test_id, {})[r.agent_id] = r.cycle
         self.current_cycle += 1
 
-    def recent_fails(self, test_id: str, k: int) -> list[bool]:
-        """Fail flags of the test's newest k results, newest first."""
-        return self._fails.get(test_id, [])[:-k - 1:-1]
+    def recent_fails(self, test_id: str, k: int) -> str:
+        """Letters of the test's newest k results, newest first."""
+        return self.fails.get(test_id, "")[:-k - 1:-1]
 
     def last_execution(self, test_id: str) -> int | None:
         """Cycle of the most recent execution, or None if never executed."""
-        return self._last.get(test_id)
+        return self.last.get(test_id)
 
     def pair_last_cycle(self) -> dict[tuple[str, str], int]:
         """Last cycle each (test, agent) pair ran, for rotation scoring."""
-        return dict(self._pair_last)
+        return {(t, a): c for t, agents in self.pair_last.items() for a, c in agents.items()}
 
 
 @dataclass(frozen=True)
@@ -274,6 +283,7 @@ def _completed_end(fh: BinaryIO) -> tuple[int, int]:
     """
     end = fh.seek(0, os.SEEK_END)  # no marker from here on
     block = 4096
+    final = True  # the first line parsed is the log's last, the only one without a newline
     while end > 0:
         start = max(0, end - block)
         fh.seek(start)
@@ -282,7 +292,13 @@ def _completed_end(fh: BinaryIO) -> tuple[int, int]:
         # be the tail of a line; the next, larger read parses it whole.
         line_end = end
         for line in reversed(lines[1:] if start else lines):
-            item = _parse_line(line.decode("utf-8"))
+            try:
+                item = _parse_line(line.decode("utf-8"))
+            except ValueError:
+                if not final:
+                    raise
+                item = None  # a torn write, cut with the interrupted cycle
+            final = False
             if isinstance(item, _CycleMarker):
                 return item.cycle + 1, line_end
             line_end -= len(line) + 1
@@ -295,11 +311,11 @@ def append_history(path: str | Path, records: Sequence[ExecutionRecord], complet
     """Append one completed cycle (its records plus a completion marker) to a history log.
 
     The block replaces whatever follows the log's last cycle marker: the
-    records of an interrupted cycle are cut, as load_history discards them,
-    and a marker that lacks its final newline gets one. A block
-    load_history would reject, or one whose cycle is not the one after the
-    log's last marker (0 for a missing or marker-less log), raises and
-    leaves the log as it was.
+    records of an interrupted cycle, a torn last line included, are cut, as
+    load_history discards them, and a marker that lacks its final newline
+    gets one. A block load_history would reject, or one whose cycle is not
+    the one after the log's last marker (0 for a missing or marker-less
+    log), raises and leaves the log as it was.
     """
     _check_cycle_block(records, completed_cycle)
     try:
@@ -330,41 +346,17 @@ _READ_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class _PairRun:
-    """The last cycle one (test, agent) pair ran, as a checkpoint lists it."""
-
-    test_id: str
-    agent_id: str
-    cycle: int
-
-
-# A test's fail flags as checkpoint text, one letter per result: bytes of
-# the flags (0 or 1) become "p" (pass) or "f" (fail).
-_FLAG_LETTERS = bytes.maketrans(b"\x00\x01", b"pf")
-
-
-@dataclass(frozen=True)
 class _Checkpoint:
     """A HistoryStore as of a cycle marker, and the log prefix it came from.
 
     The log's first ``log_bytes`` bytes are ``log_lines`` lines, the last
-    one that marker with its newline, and hash to ``log_sha256``. ``fails``
-    spells each test's results oldest first, "f" for a fail and "p" for a
-    pass. Dicts and the pair list keep the store's insertion order.
+    one that marker with its newline, and hash to ``log_sha256``.
     """
 
     log_bytes: int
     log_lines: int
     log_sha256: str
-    current_cycle: int
-    last: dict[str, int]
-    fails: dict[str, str]
-    pair_last: tuple[_PairRun, ...]
-
-    def __post_init__(self) -> None:
-        for test_id, text in self.fails.items():
-            if text.count("f") + text.count("p") != len(text):
-                raise ValueError(f"fail flags of {test_id!r} hold letters other than f and p")
+    store: HistoryStore
 
 
 def _read_checkpoint(path: Path) -> _Checkpoint | None:
@@ -383,15 +375,7 @@ def _write_checkpoint(
     The checkpoint takes the log's read and write permissions (mode), so
     every account that can read the log can read it too.
     """
-    checkpoint = _Checkpoint(
-        log_bytes,
-        log_lines,
-        digest,
-        store.current_cycle,
-        store._last,
-        {t: bytes(f).translate(_FLAG_LETTERS).decode("ascii") for t, f in store._fails.items()},
-        tuple(_PairRun(t, a, c) for (t, a), c in store._pair_last.items()),
-    )
+    checkpoint = _Checkpoint(log_bytes, log_lines, digest, store)
     data = json.dumps(codec.encode(checkpoint), separators=(",", ":")).encode("utf-8")
     tmp = None
     try:
@@ -406,15 +390,6 @@ def _write_checkpoint(
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-
-
-def _restore(checkpoint: _Checkpoint) -> HistoryStore:
-    store = HistoryStore()
-    store._last = checkpoint.last
-    store._fails = {t: [c == "f" for c in text] for t, text in checkpoint.fails.items()}
-    store._pair_last = {(p.test_id, p.agent_id): p.cycle for p in checkpoint.pair_last}
-    store.current_cycle = checkpoint.current_cycle
-    return store
 
 
 def _hash_prefix(fh: BinaryIO, digest: hashlib._Hash, size: int) -> str | None:
@@ -434,6 +409,9 @@ def load_history(path: str | Path) -> HistoryStore:
     Trailing records not followed by their cycle marker belong to an
     interrupted cycle and are discarded, so recovery after a crash is a
     simple truncation; the next append_history makes that cut in the file.
+    A last line that lacks its newline and does not parse is the torn end
+    of such a cycle and is discarded with it; any other line that does not
+    parse is an error naming its line.
 
     A checkpoint beside the log, ``<log>.checkpoint``, holds the store as
     of a cycle marker and the SHA-256 of the log through that marker's
@@ -473,7 +451,7 @@ def _load(path: str | Path, fh: BinaryIO, mode: int) -> HistoryStore:
     store, offset, number = HistoryStore(), 0, 0
     if checkpoint is not None:
         if _hash_prefix(fh, digest, checkpoint.log_bytes) == checkpoint.log_sha256:
-            store, offset = _restore(checkpoint), checkpoint.log_bytes
+            store, offset = checkpoint.store, checkpoint.log_bytes
             number = checkpoint.log_lines
         else:
             fh.seek(0)
@@ -508,11 +486,16 @@ def _replay(
         digest.update(line)
         try:
             item = _parse_line(line.decode("utf-8"))
-            if item is None:
-                continue
-            if type(item) is ExecutionRecord:
-                pending.append(item)
-                continue
+        except ValueError as exc:
+            if line.endswith(b"\n"):
+                raise ValueError(f"{path}:{number}: {exc}") from exc
+            break  # the torn last line of an interrupted cycle
+        if item is None:
+            continue
+        if type(item) is ExecutionRecord:
+            pending.append(item)
+            continue
+        try:
             if item.cycle != store.current_cycle:
                 raise ValueError(
                     f"history cycle marker {item.cycle} does not match "

@@ -83,7 +83,7 @@ def fail_score(test_id: str, history: HistoryStore, window: int, decay: float) -
     denominator = 0.0
     for j in range(window):
         denominator += decay**j
-        if j < len(fails) and fails[j]:
+        if j < len(fails) and fails[j] == "f":
             numerator += decay**j
     return numerator / denominator
 

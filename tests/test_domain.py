@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import runpy
 import stat
 import threading
@@ -115,10 +116,10 @@ def test_history_store_indexes_records():
     store.add_cycle([record("t0", "a0", 0), record("t1", "a1", 0, Outcome.FAIL)])
     store.add_cycle([record("t0", "a1", 1, Outcome.FAIL)])
     assert store.current_cycle == 2
-    assert store.recent_fails("t0", 5) == [True, False]
-    assert store.recent_fails("t0", 1) == [True]
-    assert store.recent_fails("t1", 5) == [True]
-    assert store.recent_fails("missing", 5) == []
+    assert store.recent_fails("t0", 5) == "fp"
+    assert store.recent_fails("t0", 1) == "f"
+    assert store.recent_fails("t1", 5) == "f"
+    assert store.recent_fails("missing", 5) == ""
     assert store.last_execution("t0") == 1
     assert store.last_execution("t1") == 0
     assert store.last_execution("missing") is None
@@ -154,7 +155,7 @@ def test_history_store_rejects_duplicates_and_regressions():
     store.add_cycle([record("t2", "a0", 1), record("t0", "a1", 1, Outcome.FAIL)])
     assert store.current_cycle == 2
     assert store.last_execution("t0") == 1
-    assert store.recent_fails("t0", 5) == [True, False]
+    assert store.recent_fails("t0", 5) == "fp"
 
 
 def test_history_store_state_ignores_record_order():
@@ -164,6 +165,18 @@ def test_history_store_state_ignores_record_order():
     backward.add_cycle(records[::-1])
     ids = ["t0", "t1", "t2"]
     assert history_readers(forward, ids) == history_readers(backward, ids)
+
+
+def test_history_store_round_trips_through_the_codec():
+    store = HistoryStore()
+    store.add_cycle([record("t0", "a0", 0), record("t1", "a1", 0, Outcome.FAIL)])
+    store.add_cycle([record("t1", "a0", 1), record("t0", "a1", 1, Outcome.FAIL)])
+    copy = decode(HistoryStore, encode(store))
+    ids = ["t0", "t1", "t2"]
+    assert history_readers(copy, ids) == history_readers(store, ids)
+    assert list(copy.pair_last_cycle()) == list(store.pair_last_cycle())
+    with pytest.raises(ValueError, match="letters other than f and p"):
+        HistoryStore(fails={"t0": "pfx"})
 
 
 def test_history_log_round_trip(tmp_path):
@@ -220,9 +233,52 @@ def test_history_log_discards_interrupted_cycle(tmp_path):
         )
     store = load_history(path)
     assert store.last_execution("t9") is None
-    assert store.recent_fails("t9", 5) == []
+    assert store.recent_fails("t9", 5) == ""
     assert store.pair_last_cycle() == {("t0", "a0"): 0}
     assert store.current_cycle == 1
+
+
+TORN_LINE = '{"type": "rec'
+
+
+def log_with_last_line(path, last_line):
+    """Cycles 0 and 1, then cycle 2's first record and last_line; the blocks."""
+    blocks = [[record("t0", "a0", c)] for c in range(2)]
+    for c, block in enumerate(blocks):
+        append_history(path, block, c)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record_line("t1", 2)) + "\n" + last_line)
+    return blocks
+
+
+def test_a_torn_last_line_is_discarded_with_its_cycle(tmp_path):
+    # A crash mid-append cut cycle 2's second record short. The line lacks
+    # its newline and does not parse: a full replay and a checkpointed tail
+    # both discard it with the interrupted cycle, and the retry cuts it.
+    path = tmp_path / "history.jsonl"
+    blocks = log_with_last_line(path, TORN_LINE)
+    assert cold_outcome(path)[0] == history_readers(built_store(*blocks), CHECKPOINT_IDS)
+    assert checkpoint_of(path).exists()
+    assert load_outcome(path) == cold_outcome(path)
+    retry = [record("t1", "a1", 2, Outcome.FAIL)]
+    append_history(path, retry, 2)
+    assert_log_matches(path, blocks + [retry], CHECKPOINT_IDS)
+
+
+def test_a_line_that_ends_in_a_newline_and_does_not_parse_fails(tmp_path):
+    # The same text with its newline is no torn write: the load names its
+    # line, and the append refuses and leaves the log as it was.
+    path = tmp_path / "history.jsonl"
+    log_with_last_line(path, TORN_LINE + "\n")
+    before = path.read_bytes()
+    error = "Unterminated string starting at: line 1 column 10 (char 9)"
+    with pytest.raises(ValueError) as info:
+        load_history(path)
+    assert str(info.value) == f"{path}:6: {error}"
+    with pytest.raises(ValueError) as info:
+        append_history(path, [record("t1", "a1", 2)], 2)
+    assert str(info.value) == f"{path}: {error}"
+    assert path.read_bytes() == before
 
 
 def test_history_log_rejects_marker_gaps(tmp_path):
@@ -516,6 +572,19 @@ def cut_mid_line(path):
     path.write_bytes(data[: len(data) // 2])
 
 
+def flat_checkpoint(doc):
+    # The layout before the checkpoint held the store itself: its fields at
+    # the top level, and the pairs as a list of objects.
+    store = doc.pop("store")
+    pairs = store.pop("pair_last")
+    doc.update(store)
+    doc["pair_last"] = [
+        {"test_id": t, "agent_id": a, "cycle": c}
+        for t, agents in pairs.items()
+        for a, c in agents.items()
+    ]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -525,11 +594,12 @@ def cut_mid_line(path):
         lambda path: checkpoint_of(path).write_bytes(b"\x00\xff not a checkpoint"),
         lambda path: edit_checkpoint(path, lambda doc: doc.update(format_version=99)),
         lambda path: edit_checkpoint(path, lambda doc: doc.update(note=1)),
-        lambda path: edit_checkpoint(path, lambda doc: doc["fails"].update(t0="ppx")),
+        lambda path: edit_checkpoint(path, lambda doc: doc["store"]["fails"].update(t0="ppx")),
+        lambda path: edit_checkpoint(path, flat_checkpoint),
     ],
     ids=[
         "truncated", "cut_mid_line", "edited_byte", "garbage", "bad_version", "unknown_field",
-        "bad_fail_flag",
+        "bad_fail_flag", "flat_layout",
     ],
 )
 def test_load_history_falls_back_to_a_full_replay(tmp_path, parsed, damage):
@@ -542,6 +612,8 @@ def test_load_history_falls_back_to_a_full_replay(tmp_path, parsed, damage):
     parsed.clear()
     outcome = load_outcome(path)
     assert len(parsed) == lines
+    # The replay rewrote the checkpoint in the current layout.
+    assert domain._read_checkpoint(checkpoint_of(path)) is not None
     assert outcome == cold_outcome(path)
 
 
@@ -648,8 +720,10 @@ def test_checkpoint_stops_at_the_last_marker(tmp_path, parsed):
         fh.write(json.dumps(record_line("t9", 3)) + "\n")
     load_history(path)
     doc = json.loads(checkpoint_of(path).read_text(encoding="utf-8"))
-    assert (doc["log_bytes"], doc["log_lines"], doc["current_cycle"]) == (len(completed), 9, 3)
-    assert "t9" not in doc["fails"] and "t9" not in doc["last"]
+    assert (doc["log_bytes"], doc["log_lines"], doc["store"]["current_cycle"]) == (
+        len(completed), 9, 3
+    )
+    assert "t9" not in doc["store"]["fails"] and "t9" not in doc["store"]["last"]
     retry = [record("t2", "a0", 3)]
     append_history(path, retry, 3)
     parsed.clear()
@@ -794,6 +868,7 @@ def test_history_load_script_runs(capsys):
     main = runpy.run_path(str(script))["main"]
     assert main(["--cycles", "3", "6", "--tests", "12", "--agents", "2", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
+    assert len(re.findall(r"^    checkpoint \d+ bytes$", out, re.MULTILINE)) == 2
     assert "warm+1 / warm: 3: " in out
     assert "schedule / schedule at 3 cycles: 6: " in out
     assert "report / report at 3 cycles: 6: " in out
