@@ -10,12 +10,16 @@ repeats:
   steady state of an executor that appends a cycle and schedules the next;
 - schedule: one in-process ``cisched schedule`` call on the warm log;
 - report: one in-process ``cisched report --format csv`` call on the
-  campaign's run directory.
+  campaign's run directory;
+- fresh schedule, fresh report: the same two calls, each in a new
+  ``python -m cisched.cli`` process, so interpreter start and imports
+  count, as they do for a CI job that runs the command.
 
 It also prints the size of the checkpoint the loads wrote for the campaign.
 
-With two or more lengths it prints each length's warm schedule time and
-report time over the shortest's, and for each length warm+1 over warm.
+With two or more lengths it prints each length's schedule and report
+times, in process and fresh, over the shortest's, and for each length
+warm+1 over warm.
 
 Usage: python3 benchmarks/history_load.py [--cycles 300 1000] [--tests N]
        [--agents M] [--repeats R] [--seed S]
@@ -26,11 +30,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
+import cisched
 from cisched import (
     ExecutionRecord,
     Outcome,
@@ -62,6 +70,24 @@ def cli_ms(argv: list[str]) -> float:
         with contextlib.redirect_stdout(io.StringIO()):
             if cli_main(argv) != 0:
                 raise RuntimeError(f"cisched {' '.join(argv)} failed")
+
+    return timed_ms(call)
+
+
+def fresh_ms(argv: list[str]) -> float:
+    """Wall ms of one ``cisched`` call in a new process; a failed call raises.
+
+    The child imports the same cisched source as this script.
+    """
+    src = str(Path(cisched.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def call() -> None:
+        subprocess.run(
+            [sys.executable, "-m", "cisched.cli", *argv],
+            check=True, stdout=subprocess.DEVNULL, env=env,
+        )
 
     return timed_ms(call)
 
@@ -127,6 +153,8 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
     report_argv = ["report", "--in", str(run_dir), "--out", str(root / f"report_{cycles}"), "--format", "csv"]
     schedule_ms = [cli_ms(schedule_argv) for _ in range(args.repeats)]
     report_ms = [cli_ms(report_argv) for _ in range(args.repeats)]
+    fresh_schedule_ms = [fresh_ms(schedule_argv) for _ in range(args.repeats)]
+    fresh_report_ms = [fresh_ms(report_argv) for _ in range(args.repeats)]
     return {
         "cycles": cycles,
         "build_s": build_s,
@@ -138,6 +166,8 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
         "plus_one": plus_one_ms,
         "schedule": schedule_ms,
         "report": report_ms,
+        "fresh_schedule": fresh_schedule_ms,
+        "fresh_report": fresh_report_ms,
     }
 
 
@@ -167,7 +197,9 @@ def main(argv=None) -> int:
                 f"    warm     {summary(row['warm'])}\n"
                 f"    warm+1   {summary(row['plus_one'])}\n"
                 f"    schedule {summary(row['schedule'])}\n"
-                f"    report   {summary(row['report'])}",
+                f"    report   {summary(row['report'])}\n"
+                f"    fresh schedule {summary(row['fresh_schedule'])}\n"
+                f"    fresh report   {summary(row['fresh_report'])}",
                 flush=True,
             )
     print("warm+1 / warm:", ", ".join(
@@ -175,9 +207,10 @@ def main(argv=None) -> int:
         for r in rows
     ))
     if len(rows) > 1:
-        for call in ("schedule", "report"):
+        for call in ("schedule", "report", "fresh_schedule", "fresh_report"):
             base = statistics.median(rows[0][call])
-            print(f"{call} / {call} at {rows[0]['cycles']} cycles:", ", ".join(
+            name = call.replace("_", " ")
+            print(f"{name} / {name} at {rows[0]['cycles']} cycles:", ", ".join(
                 f"{r['cycles']}: {statistics.median(r[call]) / base:.2f}" for r in rows[1:]
             ))
     return 0

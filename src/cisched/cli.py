@@ -318,7 +318,7 @@ def _cmd_report(args) -> int:
             written.extend(str(p) for p in write_plot_data(reports, timeline(), out))
         else:
             reports_path = out / "reports.json"
-            codec.dump([codec.encode(r) for r in reports], reports_path)
+            codec.save_list(reports, reports_path)
             written.append(str(reports_path))
     summary_path = out / "campaign_summary.json"
     codec.save(summary, summary_path)

@@ -329,9 +329,8 @@ def append_history(path: str | Path, records: Sequence[ExecutionRecord], complet
         raise ValueError(
             f"{path}: cannot append cycle {completed_cycle}, the log's next cycle is {next_cycle}"
         )
-    lines = [
-        json.dumps({"type": "record", **codec.encode_fields(r)}, sort_keys=True) for r in records
-    ]
+    write = codec.line_writer(ExecutionRecord, type="record")
+    lines = [write(r) for r in records]
     marker = {"type": "cycle", **codec.encode(_CycleMarker(completed_cycle))}
     lines.append(json.dumps(marker, sort_keys=True))
     with open(path, "ab") as fh:

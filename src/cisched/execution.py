@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from cisched import codec
 from cisched.domain import ExecutionRecord, HistoryStore, Outcome, TestAgent
 from cisched.priority import PrioritizedTest
@@ -129,6 +127,8 @@ def execute_plan(plan: TestPlan, outcome_model: OutcomeModel) -> AgentResult:
     test): same inputs, same result, regardless of which other plans ran
     first. The outcome draw precedes the duration draw within a stream.
     """
+    import numpy as np  # imported here, so that importing cisched does not load numpy
+
     records = []
     log_lines = []
     # SeedSequence turns an int tuple into these words itself; handing it

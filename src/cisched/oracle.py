@@ -7,8 +7,6 @@ branch-and-bound solver and can vouch for it in tests.
 
 from __future__ import annotations
 
-import numpy as np
-
 from cisched.scheduling import (
     PackedInstance,
     Schedule,
@@ -44,6 +42,8 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
     key. Raises InstanceTooLargeError beyond the enumeration limits and
     InfeasibleError under the same policy as the solver.
     """
+    import numpy as np  # imported here, so that importing cisched does not load numpy
+
     packed = PackedInstance(instance)
     n, m = packed.n, packed.m
     if n > MAX_TESTS or m > MAX_AGENTS:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from cisched import codec
 from cisched.domain import Outcome, TestAgent
@@ -93,15 +92,16 @@ def priority_histogram(
     """Counts over equal-width bins spanning [0, 1], last bin right-closed."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts = np.zeros(bins, dtype=np.int64)
-    if prioritized:
-        values = np.array([p.priority for p in prioritized], dtype=np.float64)
-        if values.min() < 0.0 or values.max() > 1.0:
-            raise ValueError("priorities must lie in [0, 1]")
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
-        np.add.at(counts, idx, 1)
-    return tuple(int(c) for c in counts)
+    values = [p.priority for p in prioritized]
+    if any(v < 0.0 or v > 1.0 for v in values):
+        raise ValueError("priorities must lie in [0, 1]")
+    # Element for element the edges of np.linspace(0.0, 1.0, bins + 1).
+    step = 1.0 / bins
+    edges = [i * step for i in range(bins)] + [1.0]
+    counts = [0] * bins
+    for v in values:
+        counts[min(bisect_right(edges, v) - 1, bins - 1)] += 1
+    return tuple(counts)
 
 
 def make_cycle_report(

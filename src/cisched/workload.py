@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from cisched import codec
 from cisched.domain import TestAgent, TestCase
 from cisched.execution import OutcomeModel
@@ -53,6 +51,8 @@ def generate_workload(spec: WorkloadSpec) -> tuple[list[TestCase], list[TestAgen
     only if its duration still first-fits into a running per-agent
     reservation, so the obligatory set as a whole is always schedulable.
     """
+    import numpy as np  # imported here, so that importing cisched does not load numpy
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
     agents = [
         TestAgent(id=f"agent{j:02d}", budget=spec.budget) for j in range(spec.agent_count)

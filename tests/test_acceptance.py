@@ -6,6 +6,7 @@ repeats them after the run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -239,18 +240,20 @@ def test_criterion_5_priority_dynamics(tmp_path):
         assert staleness("tfail", store, store.current_cycle, cap) == 1.0
 
 
+CRITERION_6_CONFIG = (
+    "workload:\n"
+    "  test_count: 30\n"
+    "  agent_count: 3\n"
+    "  budget: 20.0\n"
+    "simulation:\n"
+    "  cycles: 5\n"
+)
+
+
 def test_criterion_6_determinism(tmp_path):
     with criterion("criterion 6: deterministic artifacts"):
         config = tmp_path / "config.yaml"
-        config.write_text(
-            "workload:\n"
-            "  test_count: 30\n"
-            "  agent_count: 3\n"
-            "  budget: 20.0\n"
-            "simulation:\n"
-            "  cycles: 5\n",
-            encoding="utf-8",
-        )
+        config.write_text(CRITERION_6_CONFIG, encoding="utf-8")
         outs = []
         for name in ("first", "second"):
             out = tmp_path / name
@@ -285,6 +288,39 @@ def test_criterion_6_determinism(tmp_path):
             if rel.name == "timings.jsonl":
                 continue  # measured wall times, excluded from the contract
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+# SHA-256 over every file criterion 6's run and its CSV report write, except
+# timings.jsonl. Pinned before the codec's per-class writer replaced
+# json.dumps, so a layout drift between commits fails here, where
+# criterion 6, which compares two runs of one commit, cannot see it.
+PINNED_ARTIFACT_SHA256 = "caa1bff2b43c5e5ab399c2c2758157b65df79c690ffa502b9abc4ea58483c051"
+
+
+def test_artifact_bytes_match_the_pinned_digest(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(CRITERION_6_CONFIG, encoding="utf-8")
+    run = tmp_path / "run"
+    for argv in (
+        ["simulate", "--config", str(config), "--out", str(run), "--seed", "17"],
+        ["report", "--in", str(run), "--out", str(run / "summary"), "--format", "csv"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cisched.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file()):
+        if rel == "timings.jsonl":
+            continue  # measured wall times, excluded from the contract
+        data = (run / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    assert digest.hexdigest() == PINNED_ARTIFACT_SHA256
 
 
 def test_determinism_at_the_largest_benchmarked_size(tmp_path):

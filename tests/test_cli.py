@@ -58,6 +58,20 @@ def small_repo_path(tmp_path):
     return write_repo(tmp_path, tests, agents)
 
 
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is imported by the functions that draw random numbers, so a
+    # command that draws none does not pay for it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cisched.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=FAST_ENV,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_validate_ok(tmp_path):
     repo = small_repo_path(tmp_path)
     proc = run_cli("validate", "--repo", str(repo))

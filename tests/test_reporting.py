@@ -6,6 +6,7 @@ import csv
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -105,6 +106,44 @@ def test_priority_histogram_validation_and_empty():
 def test_priority_histogram_counts_everything(values):
     ranked = [PrioritizedTest(make_test(f"t{i}"), v) for i, v in enumerate(values)]
     assert sum(priority_histogram(ranked)) == len(values)
+
+
+def _numpy_histogram(values, bins):
+    """The numpy form priority_histogram replaced, kept as its reference."""
+    counts = np.zeros(bins, dtype=np.int64)
+    if values:
+        array = np.array(values, dtype=np.float64)
+        if array.min() < 0.0 or array.max() > 1.0:
+            raise ValueError("priorities must lie in [0, 1]")
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        idx = np.clip(np.searchsorted(edges, array, side="right") - 1, 0, bins - 1)
+        np.add.at(counts, idx, 1)
+    return tuple(int(c) for c in counts)
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 7, 10, 20, 49, 100])
+def test_priority_histogram_matches_the_numpy_form_on_every_edge(bins):
+    edges = [float(e) for e in np.linspace(0.0, 1.0, bins + 1)]
+    # Each edge, its float neighbours, and the ends of the range.
+    values = [0.0, 1.0, *edges]
+    values += [np.nextafter(e, 2.0) for e in edges[:-1]]
+    values += [np.nextafter(e, -1.0) for e in edges[1:]]
+    ranked = [PrioritizedTest(make_test(f"t{i}"), float(v)) for i, v in enumerate(values)]
+    assert priority_histogram(ranked, bins) == _numpy_histogram(values, bins)
+    for bad in (-1e-300, 1.0000000000000002, -1.0, 2.0):
+        with pytest.raises(ValueError):
+            _numpy_histogram([*values, bad], bins)
+        with pytest.raises(ValueError):
+            priority_histogram([*ranked, PrioritizedTest(make_test("bad"), bad)], bins)
+
+
+@given(
+    st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), max_size=50),
+    st.integers(1, 64),
+)
+def test_priority_histogram_matches_the_numpy_form(values, bins):
+    ranked = [PrioritizedTest(make_test(f"t{i}"), v) for i, v in enumerate(values)]
+    assert priority_histogram(ranked, bins) == _numpy_histogram(values, bins)
 
 
 def test_make_cycle_report_counts():
