@@ -17,6 +17,11 @@ repeats:
 
 It also prints the size of the checkpoint the loads wrote for the campaign.
 
+At the longest campaign it splits the plan work of ``report --format csv``,
+which its workers do, as one process would do it all: read and parse every
+finished cycle's plan files, decode them, and render the timeline rows. Each
+stage is the median of the repeats, in ms and in µs per plan entry.
+
 With two or more lengths it prints each length's schedule and report
 times, in process and fresh, over the shortest's, and for each length
 warm+1 over warm.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import statistics
 import subprocess
@@ -50,7 +56,10 @@ from cisched import (
     run_simulation,
     save_repository,
 )
+from cisched import codec
 from cisched.cli import main as cli_main
+from cisched.execution import TestPlan, cycle_dirs, plan_paths, report_path
+from cisched.reporting import timeline_csv
 from cisched.simulator import SchedulerKind
 from cisched.workload import WorkloadSpec
 
@@ -171,6 +180,35 @@ def measure(cycles: int, args: argparse.Namespace, root: Path) -> dict:
     }
 
 
+def report_split(run_dir: Path, repeats: int) -> dict:
+    """Time the report's plan work in this process: read and parse, decode, render.
+
+    Each cycle is read, decoded and rendered in turn, as a worker does, so
+    only one cycle's plans are held at a time.
+    """
+    cycles = [n for n, _ in cycle_dirs(run_dir) if report_path(run_dir, n).is_file()]
+    stages = {"read and parse": [], "decode": [], "render": []}
+    for _ in range(repeats):
+        totals = dict.fromkeys(stages, 0.0)
+        plans = entries = 0
+        for n in cycles:
+            start = time.perf_counter()
+            docs = [json.loads(path.read_text(encoding="utf-8")) for path in plan_paths(run_dir, n)]
+            parsed = time.perf_counter()
+            cycle = [codec.decode(TestPlan, doc) for doc in docs]
+            decoded = time.perf_counter()
+            timeline_csv(sorted(cycle, key=lambda p: p.agent_id))
+            rendered = time.perf_counter()
+            totals["read and parse"] += parsed - start
+            totals["decode"] += decoded - parsed
+            totals["render"] += rendered - decoded
+            plans += len(cycle)
+            entries += sum(len(plan.entries) for plan in cycle)
+        for name, seconds in totals.items():
+            stages[name].append(seconds * 1000.0)
+    return {"cycles": len(cycles), "plans": plans, "entries": entries, "stages": stages}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cycles", type=int, nargs="+", default=[300, 1000])
@@ -202,6 +240,14 @@ def main(argv=None) -> int:
                 f"    fresh report   {summary(row['fresh_report'])}",
                 flush=True,
             )
+        split = report_split(Path(tmp) / f"campaign_{max(args.cycles)}", args.repeats)
+    print(
+        f"report plan work at {split['cycles']} cycles in one process,"
+        f" {split['plans']} plans, {split['entries']} entries:"
+    )
+    for name, samples in split["stages"].items():
+        ms = statistics.median(samples)
+        print(f"    {name:<15}{ms:8.1f} ms {ms * 1000.0 / max(1, split['entries']):6.2f} us/entry")
     print("warm+1 / warm:", ", ".join(
         f"{r['cycles']}: {statistics.median(r['plus_one']) / statistics.median(r['warm']):.2f}"
         for r in rows

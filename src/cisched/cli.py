@@ -382,7 +382,9 @@ def _timeline_rows(in_dir: Path, cycles: list[int]) -> str:
         plans = []
         for path in plan_paths(in_dir, cycle):
             plan = load_plan(path)
-            if plan.cycle != cycle or path != plan_path(in_dir, cycle, plan.agent_id):
+            # plan_paths globs the cycle's own directory, so the name alone
+            # says whether the plan is filed under its agent.
+            if plan.cycle != cycle or path.name != f"plan_{plan.agent_id}.json":
                 raise ValueError(
                     f"{path}: holds the plan of agent {plan.agent_id!r} for cycle {plan.cycle}"
                 )

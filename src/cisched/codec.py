@@ -12,6 +12,16 @@ field holding the object names where it failed.
 Each class's field table is built once, so a value costs one exact type
 check plus a converter only for enums, containers and nested dataclasses.
 
+Reading first tries a reader generated once per class as straight-line
+code: one exact type check per field, the ``format_version`` stamp checked
+inline, enums by a dict lookup, containers and nested dataclasses by one
+comprehension over the item's own reader, then ``cls(*values)``. It takes
+only documents whose every value has its hint's exact JSON type. Anything
+else, such as a missing or unknown field, an int for a float, an enum's own
+member or a ValueError from the class's checks, hands the whole document
+to the checked decoder above, so what is accepted, and every message, is
+the checked decoder's.
+
 Writing skips the JSON object. Each class also gets a text writer,
 generated once as straight-line code over its sorted fields, whose text is
 ``json.dumps(encode(obj), indent=2, sort_keys=True)``'s. (The stdlib runs
@@ -72,6 +82,24 @@ def decode(cls: type[T], data: Any, *, version_optional: bool = False) -> T:
     ``version_optional`` admits a document without ``format_version``, for
     files people write by hand; a stamp that is present must still match.
     """
+    try:
+        return _reader(cls, _VERSION)(data)
+    except _FALL_BACK:
+        pass
+    return _checked_decode(cls, data, version_optional)
+
+
+def decode_fields(cls: type[T], data: Any) -> T:
+    """Rebuild ``cls`` from an object of its fields, without a version."""
+    try:
+        return _reader(cls)(data)
+    except _FALL_BACK:
+        pass
+    return _class_codec(cls)[0](data)
+
+
+def _checked_decode(cls: type[T], data: Any, version_optional: bool) -> T:
+    """decode without the generated reader: the one place its errors are written."""
     if type(data) is dict and "format_version" in data:
         data = dict(data)
         version = data.pop("format_version")
@@ -79,11 +107,6 @@ def decode(cls: type[T], data: Any, *, version_optional: bool = False) -> T:
             raise DecodeError(f"unsupported format_version: {version!r}")
     elif type(data) is dict and not version_optional:
         raise DecodeError("missing field 'format_version'")
-    return decode_fields(cls, data)
-
-
-def decode_fields(cls: type[T], data: Any) -> T:
-    """Rebuild ``cls`` from an object of its fields, without a version."""
     return _class_codec(cls)[0](data)
 
 
@@ -240,7 +263,10 @@ def _items(values: Any, rule: _Rule, keys: Any = None) -> list:
 def _loose(v: Any, want: type, as_is: tuple) -> Any:
     """The only accepted mismatches: an int for a float, and an as-is type."""
     if want is float and type(v) is int:
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:
+            raise DecodeError(f"expected float, got {_describe(v)}, too large for a float") from None
     if type(v) in as_is:
         return v
     raise DecodeError(f"expected {want.__name__}, got {_describe(v)}")
@@ -385,3 +411,90 @@ def _literal(text: str) -> str:
     return (
         text.replace("\\", "\\\\").replace("'", "\\'").replace("{", "{{").replace("}", "}}")
     )
+
+
+# The generated readers. A reader takes a JSON value and returns the
+# decoded value, or raises one of _FALL_BACK where the checked decoder
+# must decide: _Mismatch for a value it does not take as it is, KeyError
+# for a missing field or enum value, ValueError from a class's checks.
+
+
+class _Mismatch(Exception):
+    """A value the generated reader leaves to the checked decoder."""
+
+
+_FALL_BACK = (_Mismatch, KeyError, ValueError)
+
+
+def _miss() -> Any:
+    raise _Mismatch
+
+
+def _read_expr(hint: Any, v: str, ns: dict) -> str:
+    """Source of an expression reading JSON value v as type hint.
+
+    Objects the expression needs are bound in ns under fresh names.
+    """
+    if hint in (str, int, float, bool):
+        return f"{v} if type({v}) is {hint.__name__} else _miss()"
+    n = len(ns)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        ns[f"_e{n}"] = {m.value: m for m in hint}
+        return f"_e{n}[{v}] if type({v}) is str else _miss()"
+    _rule(hint)  # raises the checked decoder's TypeError for a hint without a JSON form
+    ns[f"_r{n}"] = _reader(hint) if is_dataclass(hint) else _container_reader(hint)
+    return f"_r{n}({v})"
+
+
+def _reader_namespace() -> dict:
+    return {"_Mismatch": _Mismatch, "_miss": _miss}
+
+
+@functools.cache
+def _container_reader(hint: Any) -> Callable:
+    """The reader of a tuple, frozenset or str-keyed mapping value, one comprehension over its items."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    ns = _reader_namespace()
+    if origin in (frozenset, tuple):
+        ns["_t"] = origin
+        size = len(args) if origin is tuple and args[-1] is not Ellipsis else None
+        guard = "type(v) is not list" + ("" if size is None else f" or len(v) != {size}")
+        body = f"_t([{_read_expr(args[0], 'x', ns)} for x in v])"
+    else:
+        guard = "type(v) is not dict"
+        body = f"{{k: {_read_expr(args[1], 'x', ns)} for k, x in v.items()}}"
+    source = (
+        "def read(v):\n"
+        f"    if {guard}:\n"
+        "        raise _Mismatch\n"
+        f"    return {body}\n"
+    )
+    return _compile(source, "read", ns)
+
+
+@functools.cache
+def _reader(cls: type, members: tuple[tuple[str, Any], ...] = ()) -> Callable:
+    """The reader of a cls document holding exactly its fields plus constant (key, value) members.
+
+    Generated once as one function: the key count, each member, then each
+    field by its exact type, then ``cls(*values)``.
+    """
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    ns = _reader_namespace()
+    ns["_cls"] = cls
+    lines = [
+        "def read(d):",
+        f"    if type(d) is not dict or len(d) != {len(names) + len(members)}:",
+        "        raise _Mismatch",
+    ]
+    for i, (key, value) in enumerate(members):
+        ns[f"_m{i}"], ns[f"_mt{i}"] = value, type(value)
+        lines.append(f"    m = d[{key!r}]")
+        lines.append(f"    if type(m) is not _mt{i} or m != _m{i}:")
+        lines.append("        raise _Mismatch")
+    for i, name in enumerate(names):
+        lines.append(f"    s{i} = d[{name!r}]")
+        lines.append(f"    s{i} = {_read_expr(hints[name], f's{i}', ns)}")
+    lines.append(f"    return _cls({', '.join(f's{i}' for i in range(len(names)))})")
+    return _compile("\n".join(lines) + "\n", "read", ns)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -186,18 +185,25 @@ def timeline_csv(plans: Iterable[TestPlan]) -> str:
     """The timeline CSV rows of ``plans``, in the given order, without the header.
 
     Each agent's tests lie end to end in plan order, so the per-agent
-    intervals never overlap.
+    intervals never overlap. The rows are the bytes ``csv.writer`` writes,
+    one f-string each: floats by ``repr``, as csv writes them.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    rows = []
     for plan in plans:
+        head = f"{plan.cycle},{_csv_cell(plan.agent_id)},"
         offset = 0.0
         for entry in plan.entries:
-            writer.writerow(
-                [plan.cycle, plan.agent_id, entry.test_id, offset, entry.planned_duration]
-            )
-            offset += entry.planned_duration
-    return buf.getvalue()
+            duration = entry.planned_duration
+            rows.append(f"{head}{_csv_cell(entry.test_id)},{offset!r},{duration!r}\r\n")
+            offset += duration
+    return "".join(rows)
+
+
+def _csv_cell(text: str) -> str:
+    """A string cell as csv's excel dialect writes it: quoted only if it must be."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_plot_data(

@@ -351,6 +351,71 @@ def test_report_refuses_a_file_filed_under_another_cycle_or_agent(
     assert json.loads(proc.stderr) == {"error": "invalid_input", "message": f"{path}: {what}"}
 
 
+# JSON and YAML read this as an int, and float() of it raises OverflowError,
+# which every loader once let through as a traceback.
+TOO_BIG_FOR_A_FLOAT = 10**400
+
+
+def _with_value(path, place, value):
+    """Rewrite the JSON document at path with value at place, a list of keys and indices."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    parent = doc
+    for key in place[:-1]:
+        parent = parent[key]
+    parent[place[-1]] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("cpus", [3, 1], ids=["worker", "in-process"])
+def test_report_names_an_int_too_large_for_a_float_in_a_plan(
+    six_cycles, tmp_path, monkeypatch, capsys, cpus
+):
+    run = tmp_path / "run"
+    shutil.copytree(six_cycles, run)
+    plan = sorted((run / "cycle_2").glob("plan_*.json"))[0]
+    _with_value(plan, ["entries", 0, "planned_duration"], TOO_BIG_FOR_A_FLOAT)
+    proc = report_on_cpus(monkeypatch, capsys, cpus, run, tmp_path / "out")
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert payload["message"].startswith(
+        f"{plan}: entries[0].planned_duration: expected float, got int 1000"
+    )
+
+
+def test_report_names_an_int_too_large_for_a_float_in_a_cycle_report(six_cycles, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(six_cycles, run)
+    report = run / "cycle_3" / "report.json"
+    _with_value(report, ["overall_utilization"], TOO_BIG_FOR_A_FLOAT)
+    proc = run_main(capsys, "report", "--in", str(run), "--out", str(tmp_path / "out"), "--format", "json")
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert payload["message"].startswith(f"{report}: overall_utilization: expected float, got int 1000")
+
+
+def test_validate_names_an_int_too_large_for_a_float_in_a_repository(tmp_path, capsys):
+    repo = small_repo_path(tmp_path)
+    _with_value(repo, ["tests", 1, "avg_duration"], TOO_BIG_FOR_A_FLOAT)
+    proc = run_main(capsys, "validate", "--repo", str(repo))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "invalid_input"
+    assert payload["message"].startswith(f"{repo}: tests[1].avg_duration: expected float, got int 1000")
+
+
+def test_config_names_an_int_too_large_for_a_float(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"simulation:\n  jitter_high: {TOO_BIG_FOR_A_FLOAT}\n", encoding="utf-8")
+    proc = run_main(capsys, "generate-workload", "--config", str(config), "--out", str(tmp_path / "w"))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "type_mismatch"
+    assert payload["message"].startswith("simulation.jitter_high: expected float, got int 1000")
+    assert not (tmp_path / "w").exists()
+
+
 def test_duplicate_history_record_names_its_line(tmp_path):
     repo = small_repo_path(tmp_path)
     history = tmp_path / "history.jsonl"

@@ -870,5 +870,9 @@ def test_history_load_script_runs(capsys):
     out = capsys.readouterr().out
     assert len(re.findall(r"^    checkpoint \d+ bytes$", out, re.MULTILINE)) == 2
     assert "warm+1 / warm: 3: " in out
+    # The split of the report's plan work that ROADMAP item 7's shares cite.
+    assert re.search(r"^report plan work at 6 cycles in one process, \d+ plans, \d+ entries:$", out, re.M)
+    for stage in ("read and parse", "decode", "render"):
+        assert re.search(rf"^    {stage} +[\d.]+ ms +[\d.]+ us/entry$", out, re.M), stage
     assert "schedule / schedule at 3 cycles: 6: " in out
     assert "report / report at 3 cycles: 6: " in out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import replace
 
@@ -277,6 +278,37 @@ def test_timeline_rendered_in_chunks_writes_the_same_bytes(tmp_path):
     parts = write_plot_data(reports, chunks, tmp_path / "parts")
     assert [p.read_bytes() for p in parts] == [p.read_bytes() for p in whole]
     assert whole[2].read_bytes().startswith(b"cycle,agent_id,test_id,start_offset,duration\r\n0,a0,")
+
+
+# Ids that csv must quote, or not: delimiter, quote, line breaks,
+# non-ASCII, a NUL and the empty string.
+CSV_CHARS = [",", '"', "\r", "\n", " ", "a", "é", "😀", "\x00"]
+CSV_TEXT = st.text(st.sampled_from(CSV_CHARS), max_size=5) | st.text(max_size=5)
+PLANS = st.lists(
+    st.builds(
+        TestPlan,
+        agent_id=CSV_TEXT,
+        cycle=st.integers(0, 10**6),
+        entries=st.lists(
+            st.builds(PlanEntry, test_id=CSV_TEXT, planned_duration=st.floats(), priority=st.floats(0, 1)),
+            max_size=4,
+        ).map(tuple),
+    ),
+    max_size=3,
+)
+
+
+@given(plans=PLANS)
+def test_timeline_rows_are_the_bytes_of_csv_writer(plans):
+    # The csv.writer loop timeline_csv replaced, kept as the reference.
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for plan in plans:
+        offset = 0.0
+        for entry in plan.entries:
+            writer.writerow([plan.cycle, plan.agent_id, entry.test_id, offset, entry.planned_duration])
+            offset += entry.planned_duration
+    assert timeline_csv(plans) == buf.getvalue()
 
 
 def test_summary_round_trip_shape():
