@@ -184,7 +184,10 @@ def report_split(run_dir: Path, repeats: int) -> dict:
     """Time the report's plan work in this process: read and parse, decode, render.
 
     Each cycle is read, decoded and rendered in turn, as a worker does, so
-    only one cycle's plans are held at a time.
+    only one cycle's plans are held at a time. The loop is
+    ``cisched.cli._timeline_rows``'s (plan_paths, parse, decode, sort by
+    agent id, timeline_csv) cut into timed stages, less its cycle and file
+    name checks; a change to that loop belongs here too.
     """
     cycles = [n for n, _ in cycle_dirs(run_dir) if report_path(run_dir, n).is_file()]
     stages = {"read and parse": [], "decode": [], "render": []}

@@ -375,7 +375,8 @@ def _timeline_rows(in_dir: Path, cycles: list[int]) -> str:
     """The timeline CSV rows of the cycles' plans, by cycle, then agent id.
 
     A plan whose cycle or agent id disagrees with where it is filed is
-    refused, so the rows never mix up cycles.
+    refused, so the rows never mix up cycles. benchmarks/history_load.py's
+    ``report_split`` times this loop stage by stage; keep the two in step.
     """
     rows = []
     for cycle in cycles:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -280,10 +281,16 @@ def test_timeline_rendered_in_chunks_writes_the_same_bytes(tmp_path):
     assert whole[2].read_bytes().startswith(b"cycle,agent_id,test_id,start_offset,duration\r\n0,a0,")
 
 
+# Before Python 3.11 csv.writer raised csv.Error on any field holding a
+# NUL (its unset escapechar was stored as NUL), so the reference below
+# takes one only from 3.11 on.
+CSV_WRITES_NUL = sys.version_info >= (3, 11)
 # Ids that csv must quote, or not: delimiter, quote, line breaks,
 # non-ASCII, a NUL and the empty string.
-CSV_CHARS = [",", '"', "\r", "\n", " ", "a", "é", "😀", "\x00"]
-CSV_TEXT = st.text(st.sampled_from(CSV_CHARS), max_size=5) | st.text(max_size=5)
+CSV_CHARS = [",", '"', "\r", "\n", " ", "a", "é", "😀"] + ["\x00"] * CSV_WRITES_NUL
+CSV_TEXT = st.text(st.sampled_from(CSV_CHARS), max_size=5) | st.text(max_size=5).filter(
+    lambda text: CSV_WRITES_NUL or "\x00" not in text
+)
 PLANS = st.lists(
     st.builds(
         TestPlan,
@@ -309,6 +316,21 @@ def test_timeline_rows_are_the_bytes_of_csv_writer(plans):
             writer.writerow([plan.cycle, plan.agent_id, entry.test_id, offset, entry.planned_duration])
             offset += entry.planned_duration
     assert timeline_csv(plans) == buf.getvalue()
+
+
+def test_timeline_writes_a_nul_unquoted():
+    # A NUL needs no quotes; from Python 3.11 on csv.writer agrees, and
+    # before it csv.writer refused the row.
+    plan = TestPlan("a\x00", 0, (PlanEntry("t,\x00", planned_duration=1.0, priority=0.5),))
+    assert timeline_csv([plan]) == '0,a\x00,"t,\x00",0.0,1.0\r\n'
+    buf = io.StringIO()
+    row = [0, "a\x00", "t,\x00", 0.0, 1.0]
+    if CSV_WRITES_NUL:
+        csv.writer(buf).writerow(row)
+        assert buf.getvalue() == timeline_csv([plan])
+    else:
+        with pytest.raises(csv.Error, match="need to escape"):
+            csv.writer(buf).writerow(row)
 
 
 def test_summary_round_trip_shape():
