@@ -82,7 +82,7 @@ def campaign_instances(tests: int, agents: int, seed: int, cycles: int, budget_m
         yield cycle, build_instance(
             ranked,
             active,
-            state.history.pair_last_cycle(),
+            state.history.pair_last,
             cycle,
             solver_time_budget_ms=budget_ms,
             staleness_cap=config.pair_staleness_cap,

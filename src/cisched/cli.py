@@ -225,7 +225,7 @@ def _cmd_schedule(args) -> int:
     instance = build_instance(
         prioritized,
         active_agents,
-        history.pair_last_cycle(),
+        history.pair_last,
         cycle,
         solver_time_budget_ms=cfg.solver.time_budget_ms,
         staleness_cap=cfg.solver.staleness_cap,

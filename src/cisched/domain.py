@@ -225,10 +225,6 @@ class HistoryStore:
         """Cycle of the most recent execution, or None if never executed."""
         return self.last.get(test_id)
 
-    def pair_last_cycle(self) -> dict[tuple[str, str], int]:
-        """Last cycle each (test, agent) pair ran, for rotation scoring."""
-        return {(t, a): c for t, agents in self.pair_last.items() for a, c in agents.items()}
-
 
 @dataclass(frozen=True)
 class Repository:

@@ -285,21 +285,17 @@ def search_args(packed: PackedInstance, incumbent: Sequence[int]) -> SearchArgs:
     # implicit last. stalest holds each row's first staleness (0 if empty).
     # A child sorts by the int (cap - staleness) * m + agent rank, so keys
     # ascend stalest-first with ties by rank, and // m and % m undo them.
-    # pair_staleness_units scores the pair history in one call; a pair
-    # outside it never ran, and its offset comes from the same rule.
+    # pair_staleness_units scores every child, in CSR order, in one call.
     instance = packed.instance
-    cycle, cap, diversity = instance.current_cycle, instance.staleness_cap, instance.diversity
-    m, pairs = packed.m, instance.pair_last_cycle
-    col = {a_id: j for j, a_id in enumerate(packed.agent_ids)}
-    offsets: dict[str, dict[int, int]] = {}
-    for (t_id, a_id), u in zip(pairs, pair_staleness_units(pairs.values(), cycle, cap, diversity)):
-        offsets.setdefault(t_id, {})[col[a_id]] = (cap - u) * m
-    never = (cap - pair_staleness_units([None], cycle, cap, diversity)[0]) * m
+    cap, m, last, a_ids = instance.staleness_cap, packed.m, instance.pair_last, packed.agent_ids
+    rows = [last.get(t_id, {}) for t_id in packed.test_ids]
+    lasts = [row.get(a_ids[j]) for row, cols in zip(rows, packed.compat) for j in cols]
+    stale = pair_staleness_units(lasts, instance.current_cycle, cap, instance.diversity)
     col_of_rank = sorted(range(m), key=rank.__getitem__)
     child_start, child_agents, child_stale, stalest = [0], [], [], []
-    for t_id, cols in zip(packed.test_ids, packed.compat):
-        offset = offsets.get(t_id, {}).get
-        keys = sorted([offset(j, never) + rank[j] for j in cols])
+    for cols in packed.compat:
+        s = child_start[-1]
+        keys = sorted([(cap - u) * m + rank[j] for j, u in zip(cols, stale[s:s + len(cols)])])
         child_agents += [col_of_rank[k % m] for k in keys]
         child_stale += [cap - k // m for k in keys]
         child_start.append(len(child_agents))

@@ -60,10 +60,10 @@ def schedule_oracle(instance: SchedulingInstance) -> Schedule:
     compat_ext = np.zeros((n, radix), dtype=bool)
     compat_ext[:, 0] = True
     stale_ext = np.zeros((n, radix), dtype=np.int64)
-    last = instance.pair_last_cycle
     for i, agent_cols in enumerate(packed.compat):
+        row = instance.pair_last.get(packed.test_ids[i], {})
         units = pair_staleness_units(
-            [last.get((packed.test_ids[i], packed.agent_ids[j])) for j in agent_cols],
+            [row.get(packed.agent_ids[j]) for j in agent_cols],
             instance.current_cycle, instance.staleness_cap, instance.diversity,
         )
         for j, u in zip(agent_cols, units):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 
 from cisched.domain import TestAgent
 from cisched.priority import PrioritizedTest
@@ -56,20 +56,6 @@ class ObjectiveVector:
         )
 
 
-def pair_staleness(
-    test_id: str,
-    agent_id: str,
-    pair_last_cycle: Mapping[tuple[str, str], int],
-    current_cycle: int,
-    cap: int = 8,
-) -> float:
-    """Normalized cycles since the pair last ran together; 1.0 if it never did."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    last = pair_last_cycle.get((test_id, agent_id))
-    return pair_staleness_units([last], current_cycle, cap, True)[0] / cap
-
-
 def pair_staleness_units(
     lasts: Collection[int | None], current_cycle: int, cap: int, diversity: bool
 ) -> list[int]:
@@ -83,20 +69,36 @@ def pair_staleness_units(
     return [cap if last is None else min(max(current_cycle - last, 0), cap) for last in lasts]
 
 
+class _PairView(Mapping):
+    """Read-only (test id, agent id) -> last cycle view of a nested pair history."""
+
+    def __init__(self, rows: Mapping[str, Mapping[str, int]]) -> None:
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[str, str]) -> int:
+        return self._rows[key[0]][key[1]]
+
+    def __iter__(self):
+        return ((t_id, a_id) for t_id, row in self._rows.items() for a_id in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+
 @dataclass(frozen=True)
 class SchedulingInstance:
     """One cycle's scheduling input.
 
     ``prioritized`` must already be sorted by descending priority with test
     id as tie-break (the order :func:`cisched.priority.prioritize_all`
-    produces). ``pair_last_cycle`` keys must refer to ids present in the
-    instance; build instances through :func:`build_instance` to get the
-    filtering for free.
+    produces). ``pair_last`` (test id -> agent id -> last cycle the pair
+    ran) must refer only to ids present in the instance; build instances
+    through :func:`build_instance` to get the filtering for free.
     """
 
     prioritized: tuple[PrioritizedTest, ...]
     agents: tuple[TestAgent, ...]
-    pair_last_cycle: Mapping[tuple[str, str], int]
+    pair_last: Mapping[str, Mapping[str, int]]
     current_cycle: int
     solver_time_budget_ms: int = 2000
     staleness_cap: int = 8
@@ -113,9 +115,10 @@ class SchedulingInstance:
         agent_ids = {a.id for a in self.agents}
         if len(agent_ids) != len(self.agents):
             raise ValueError("duplicate agent ids")
-        for t_id, a_id in self.pair_last_cycle:
-            if t_id not in test_ids or a_id not in agent_ids:
-                raise ValueError(f"pair_last_cycle key ({t_id!r}, {a_id!r}) refers to unknown ids")
+        for t_id, row in self.pair_last.items():
+            for a_id in row:
+                if t_id not in test_ids or a_id not in agent_ids:
+                    raise ValueError(f"pair_last entry ({t_id!r}, {a_id!r}) refers to unknown ids")
         prev = None
         for p in self.prioritized:
             key = (-p.priority, p.test.id)
@@ -123,26 +126,31 @@ class SchedulingInstance:
                 raise ValueError("prioritized list is not sorted by descending priority")
             prev = key
 
+    @property
+    def pair_last_cycle(self) -> Mapping[tuple[str, str], int]:
+        """``pair_last`` keyed by (test id, agent id), as a view; perfbench/quality.py reads it."""
+        return _PairView(self.pair_last)
+
 
 def build_instance(
     prioritized: Sequence[PrioritizedTest],
     agents: Sequence[TestAgent],
-    pair_last_cycle: Mapping[tuple[str, str], int],
+    pair_last: Mapping[str, Mapping[str, int]],
     current_cycle: int,
     solver_time_budget_ms: int = 2000,
     staleness_cap: int = 8,
     diversity: bool = True,
 ) -> SchedulingInstance:
-    """Assemble an instance, dropping pair history for ids not in this cycle."""
-    test_ids = {p.test.id for p in prioritized}
+    """Assemble an instance, copying the pair history rows of this cycle's ids only."""
     agent_ids = {a.id for a in agents}
-    pairs = {
-        k: v for k, v in pair_last_cycle.items() if k[0] in test_ids and k[1] in agent_ids
+    last = {
+        p.test.id: {a_id: c for a_id, c in pair_last[p.test.id].items() if a_id in agent_ids}
+        for p in prioritized if p.test.id in pair_last
     }
     return SchedulingInstance(
         prioritized=tuple(prioritized),
         agents=tuple(agents),
-        pair_last_cycle=pairs,
+        pair_last=last,
         current_cycle=current_cycle,
         solver_time_budget_ms=solver_time_budget_ms,
         staleness_cap=staleness_cap,
@@ -208,9 +216,9 @@ class PackedInstance:
         """Exact objective sums for an assignment (test index -> column or -1)."""
         placed = [i for i, j in enumerate(assign) if j >= 0]
         instance = self.instance
-        last, t_ids, a_ids = instance.pair_last_cycle, self.test_ids, self.agent_ids
+        last, t_ids, a_ids = instance.pair_last, self.test_ids, self.agent_ids
         stale = pair_staleness_units(
-            [last.get((t_ids[i], a_ids[assign[i]])) for i in placed],
+            [last.get(t_ids[i], {}).get(a_ids[assign[i]]) for i in placed],
             instance.current_cycle, instance.staleness_cap, instance.diversity,
         )
         prio, dur = self.prio_u, self.dur_us

@@ -120,7 +120,7 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
     instance = build_instance(
         prioritized,
         active_agents,
-        state.history.pair_last_cycle(),
+        state.history.pair_last,
         cycle,
         solver_time_budget_ms=cfg.solver_time_budget_ms,
         staleness_cap=cfg.pair_staleness_cap,

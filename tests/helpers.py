@@ -51,19 +51,22 @@ def make_agent(agent_id: str, budget: float = 10.0, active: bool = True) -> Test
 def make_instance(
     entries,
     agents,
-    pairs=None,
+    pair_last=None,
     cycle: int = 0,
     time_budget_ms: int = 2000,
     staleness_cap: int = 8,
     diversity: bool = True,
 ) -> SchedulingInstance:
-    """Build an instance from (TestCase, priority) pairs, sorting them properly."""
+    """Build an instance from (TestCase, priority) pairs, sorting them properly.
+
+    ``pair_last`` maps a test id to an agent id to the last cycle that pair ran.
+    """
     prioritized = [PrioritizedTest(test, priority) for test, priority in entries]
     prioritized.sort(key=lambda p: (-p.priority, p.test.id))
     return build_instance(
         prioritized,
         agents,
-        pairs or {},
+        pair_last or {},
         cycle,
         solver_time_budget_ms=time_budget_ms,
         staleness_cap=staleness_cap,
@@ -130,7 +133,7 @@ def random_instance(
         # Draw in agent_ids order: a frozenset's order follows PYTHONHASHSEED.
         for a in agent_ids:
             if a in t.compatible_agents and rng.random() < 0.5:
-                pairs[(t.id, a)] = int(rng.integers(0, current + 1)) if current else 0
+                pairs.setdefault(t.id, {})[a] = int(rng.integers(0, current + 1)) if current else 0
     priorities = [float(round(rng.uniform(0.0, 1.0), 3)) for _ in tests]
     entries = list(zip(tests, priorities))
     return make_instance(
@@ -155,13 +158,13 @@ def zero_tie_instance(rng: np.random.Generator, max_tests: int = 8) -> Schedulin
     base = random_instance(rng, max_tests=max_tests, max_obligatory=1, min_tests=1)
     zero = rng.random(len(base.prioritized)) < 0.4
     entries = []
-    pairs = dict(base.pair_last_cycle)
+    pairs = {t_id: dict(row) for t_id, row in base.pair_last.items()}
     for p, worthless in zip(base.prioritized, zero):
         if worthless:
             test = replace(p.test, avg_duration=1e-7)
             entries.append((test, 0.0))
             for a_id in test.compatible_agents:
-                pairs[(test.id, a_id)] = base.current_cycle
+                pairs.setdefault(test.id, {})[a_id] = base.current_cycle
         else:
             entries.append((p.test, p.priority))
     return make_instance(
@@ -174,9 +177,9 @@ def zero_tie_instance(rng: np.random.Generator, max_tests: int = 8) -> Schedulin
 
 
 def history_readers(store, test_ids):
-    """Everything a HistoryStore answers about the given tests."""
+    """Everything a HistoryStore answers about the given tests, copied."""
     return (
         store.current_cycle,
-        store.pair_last_cycle(),
+        {t_id: dict(row) for t_id, row in store.pair_last.items()},
         {t: (store.last_execution(t), store.recent_fails(t, 1000)) for t in test_ids},
     )

@@ -55,6 +55,11 @@ def record(test_id="t0", agent_id="a0", cycle=0, outcome=Outcome.PASS, duration=
     )
 
 
+def pair_order(store):
+    """The store's (test id, agent id) pairs, in the order it holds them."""
+    return [(t_id, a_id) for t_id, row in store.pair_last.items() for a_id in row]
+
+
 def test_validate_accepts_well_formed_repository():
     tests = [make_test("t0"), make_test("t1", agents=("a0", "a1"))]
     agents = [make_agent("a0"), make_agent("a1")]
@@ -123,11 +128,7 @@ def test_history_store_indexes_records():
     assert store.last_execution("t0") == 1
     assert store.last_execution("t1") == 0
     assert store.last_execution("missing") is None
-    assert store.pair_last_cycle() == {
-        ("t0", "a0"): 0,
-        ("t1", "a1"): 0,
-        ("t0", "a1"): 1,
-    }
+    assert store.pair_last == {"t0": {"a0": 0, "a1": 1}, "t1": {"a1": 0}}
 
 
 def test_history_store_rejects_duplicates_and_regressions():
@@ -174,7 +175,7 @@ def test_history_store_round_trips_through_the_codec():
     copy = decode(HistoryStore, encode(store))
     ids = ["t0", "t1", "t2"]
     assert history_readers(copy, ids) == history_readers(store, ids)
-    assert list(copy.pair_last_cycle()) == list(store.pair_last_cycle())
+    assert pair_order(copy) == pair_order(store)
     with pytest.raises(ValueError, match="letters other than f and p"):
         HistoryStore(fails={"t0": "pfx"})
 
@@ -234,7 +235,7 @@ def test_history_log_discards_interrupted_cycle(tmp_path):
     store = load_history(path)
     assert store.last_execution("t9") is None
     assert store.recent_fails("t9", 5) == ""
-    assert store.pair_last_cycle() == {("t0", "a0"): 0}
+    assert store.pair_last == {"t0": {"a0": 0}}
     assert store.current_cycle == 1
 
 
@@ -532,7 +533,7 @@ def load_outcome(path):
         store = load_history(path)
     except (ValueError, DuplicateRecordError) as exc:
         return type(exc), str(exc)
-    return history_readers(store, CHECKPOINT_IDS), list(store.pair_last_cycle())
+    return history_readers(store, CHECKPOINT_IDS), pair_order(store)
 
 
 def cold_outcome(path):
@@ -778,7 +779,7 @@ def test_checkpoint_matches_the_simulators_store_at_scale(tmp_path, monkeypatch,
     test_ids = [t.id for t in tests]
 
     def readers(store):
-        return history_readers(store, test_ids), list(store.pair_last_cycle().items())
+        return history_readers(store, test_ids), pair_order(store)
 
     def schedule(name, warm):
         if not warm:

@@ -189,7 +189,7 @@ def test_collect_results_merges_in_agent_order():
     )
     with pytest.raises(DuplicateRecordError):
         collect_results([result_b, result_a], history)
-    assert history.pair_last_cycle() == {}
+    assert history.pair_last == {}
     assert history.current_cycle == 0
 
 
@@ -231,7 +231,7 @@ def test_rejected_merge_changes_nothing_and_a_corrected_retry_merges():
     fixed = AgentResult("b", 1, (ExecutionRecord("t2", "b", 1, Outcome.PASS, 1.0),), ())
     collect_results([fixed, first], history)
     assert history.current_cycle == 2
-    assert history.pair_last_cycle() == {("t1", "a"): 1, ("t0", "a"): 1, ("t2", "b"): 1}
+    assert history.pair_last == {"t1": {"a": 1}, "t0": {"a": 1}, "t2": {"b": 1}}
     assert history.recent_fails("t1", 5) == "pf"
     later = AgentResult("a", 2, (ExecutionRecord("t2", "a", 2, Outcome.PASS, 1.0),), ())
     collect_results([later], history)

@@ -23,7 +23,7 @@ digest = hashlib.sha256()
 for seed in range(200):
     instance = random_instance(np.random.default_rng(seed))
     shape = (
-        sorted(instance.pair_last_cycle.items()),
+        sorted((t, sorted(row.items())) for t, row in instance.pair_last.items()),
         [(p.test.id, p.priority, sorted(p.test.compatible_agents)) for p in instance.prioritized],
         [(a.id, a.budget) for a in instance.agents],
         instance.current_cycle,

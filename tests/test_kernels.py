@@ -233,10 +233,10 @@ def test_search_args_children_follow_compatibility_and_staleness(seed, diversity
         assert sorted(agents) == sorted(p.test.compatible_agents & set(packed.agent_ids))
         # The documented rule, written out: cap for a pair that never ran,
         # else the cycles since it ran clamped to [0, cap]; 0 without diversity.
-        cap, lasts = instance.staleness_cap, instance.pair_last_cycle
+        cap, lasts = instance.staleness_cap, instance.pair_last.get(p.test.id, {})
         stale = [
-            (cap if (p.test.id, a) not in lasts
-             else min(max(instance.current_cycle - lasts[p.test.id, a], 0), cap))
+            (cap if a not in lasts
+             else min(max(instance.current_cycle - lasts[a], 0), cap))
             if diversity else 0
             for a in agents
         ]

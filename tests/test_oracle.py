@@ -93,7 +93,7 @@ def test_oracle_agrees_with_direct_enumeration():
     instance = make_instance(
         [(t0, 0.7), (t1, 0.2), (t2, 0.6)],
         [make_agent("a0", budget=7.0), make_agent("a1", budget=5.0)],
-        pairs={("t0", "a0"): 2, ("t2", "a1"): 3},
+        pair_last={"t0": {"a0": 2}, "t2": {"a1": 3}},
         cycle=4,
     )
     got = schedule_oracle(instance)

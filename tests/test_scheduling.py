@@ -7,15 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cisched import (
+    ExecutionRecord,
+    HistoryStore,
     InfeasibleError,
     ObjectiveVector,
+    Outcome,
+    OutcomeModel,
     PrioritizedTest,
+    PriorityWeights,
     Schedule,
+    SchedulerKind,
     SchedulingInstance,
+    SimulationConfig,
     build_instance,
     check_schedule,
-    pair_staleness,
+    run_simulation,
     schedule_greedy,
+    schedule_oracle,
     solve_detailed,
 )
 from cisched.kernels import density_order
@@ -60,15 +68,18 @@ def test_objective_vector_from_units():
 
 
 def test_pair_staleness_values():
-    pairs = {("t0", "a0"): 3}
-    assert pair_staleness("t0", "a0", pairs, 4, cap=8) == pytest.approx(1 / 8)
-    assert pair_staleness("t0", "a0", pairs, 3, cap=8) == 0.0
-    assert pair_staleness("t0", "a0", pairs, 20, cap=8) == 1.0
-    assert pair_staleness("t0", "a1", pairs, 4, cap=8) == 1.0
+    pair_last = {"t0": {"a0": 3}}
+
+    def staleness(t_id, a_id, cycle):
+        last = pair_last.get(t_id, {}).get(a_id)
+        return pair_staleness_units([last], cycle, 8, True)[0] / 8
+
+    assert staleness("t0", "a0", 4) == pytest.approx(1 / 8)
+    assert staleness("t0", "a0", 3) == 0.0
+    assert staleness("t0", "a0", 20) == 1.0
+    assert staleness("t0", "a1", 4) == 1.0
     assert pair_staleness_units([3, None], 4, 8, True) == [1, 8]
     assert pair_staleness_units([3, None], 4, 8, False) == [0, 0]
-    with pytest.raises(ValueError):
-        pair_staleness("t0", "a0", pairs, 4, cap=0)
 
 
 def test_instance_validation():
@@ -81,28 +92,28 @@ def test_instance_validation():
         SchedulingInstance(
             prioritized=(PrioritizedTest(t0, 0.2), PrioritizedTest(make_test("t1"), 0.8)),
             agents=(agent,),
-            pair_last_cycle={},
+            pair_last={},
             current_cycle=0,
         )
     with pytest.raises(ValueError):
         SchedulingInstance(
             prioritized=(PrioritizedTest(t0, 0.5), PrioritizedTest(t0, 0.5)),
             agents=(agent,),
-            pair_last_cycle={},
+            pair_last={},
             current_cycle=0,
         )
     with pytest.raises(ValueError):
         SchedulingInstance(
             prioritized=(PrioritizedTest(t0, 0.5),),
             agents=(agent, agent),
-            pair_last_cycle={},
+            pair_last={},
             current_cycle=0,
         )
     with pytest.raises(ValueError):
         SchedulingInstance(
             prioritized=(PrioritizedTest(t0, 0.5),),
             agents=(agent,),
-            pair_last_cycle={("ghost", "a0"): 0},
+            pair_last={"ghost": {"a0": 0}},
             current_cycle=0,
         )
     with pytest.raises(ValueError):
@@ -115,10 +126,66 @@ def test_build_instance_drops_stale_pair_keys():
     instance = build_instance(
         [PrioritizedTest(make_test("t0"), 0.5)],
         [make_agent("a0")],
-        {("t0", "a0"): 1, ("gone", "a0"): 2, ("t0", "gone"): 3},
+        {"t0": {"a0": 1, "gone": 3}, "gone": {"a0": 2}},
         current_cycle=4,
     )
-    assert instance.pair_last_cycle == {("t0", "a0"): 1}
+    assert instance.pair_last == {"t0": {"a0": 1}}
+
+
+def test_built_instance_keeps_its_pair_history_after_add_cycle():
+    # A built instance holds copies of the store's rows: later cycles that
+    # rerun one of its pairs leave it as it was built.
+    store = HistoryStore()
+    store.add_cycle([ExecutionRecord("t0", "a0", 0, Outcome.PASS, 1.0)])
+    t0 = make_test("t0", agents=("a0", "a1"))
+    instance = build_instance(
+        [PrioritizedTest(t0, 0.5)], [make_agent("a0"), make_agent("a1")], store.pair_last, 1
+    )
+    store.add_cycle([
+        ExecutionRecord("t0", "a0", 1, Outcome.PASS, 1.0),
+        ExecutionRecord("t1", "a1", 1, Outcome.PASS, 1.0),
+    ])
+    assert store.pair_last == {"t0": {"a0": 1}, "t1": {"a1": 1}}
+    assert instance.pair_last == {"t0": {"a0": 0}}
+    assert dict(instance.pair_last_cycle) == {("t0", "a0"): 0}
+
+
+def test_pair_last_cycle_is_a_view_no_scheduler_reads(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(11))
+    instances = [random_instance(rng, max_tests=6) for _ in range(30)]
+    for instance in instances:
+        flat = {
+            (t_id, a_id): c
+            for t_id, row in instance.pair_last.items()
+            for a_id, c in row.items()
+        }
+        view = instance.pair_last_cycle
+        assert dict(view) == flat
+        assert len(view) == len(flat)
+        assert view.get(("ghost", "a0")) is None
+        for p in instance.prioritized:
+            assert view.get((p.test.id, "ghost")) is None
+
+    def unread(self):
+        raise AssertionError("pair_last_cycle was read")
+
+    monkeypatch.setattr(SchedulingInstance, "pair_last_cycle", property(unread))
+    tests = [make_test(f"t{i}", duration=2.0, agents=("a0", "a1")) for i in range(4)]
+    agents = [make_agent("a0", budget=5.0), make_agent("a1", budget=5.0)]
+    outcomes = OutcomeModel({}, default_probability=0.2, seed=9)
+    for scheduler in SchedulerKind:
+        config = SimulationConfig(3, scheduler, PriorityWeights(), outcomes, solver_time_budget_ms=50)
+        assert len(run_simulation(config, tests, agents)) == 3
+    checked = 0
+    for instance in instances:
+        schedule_greedy(instance)
+        try:
+            solve_detailed(instance)
+            schedule_oracle(instance)
+        except InfeasibleError:
+            continue
+        checked += 1
+    assert checked >= 10
 
 
 def test_schedule_accessors():
@@ -205,7 +272,7 @@ def test_greedy_objective_counts_pair_staleness():
     # One test, one agent, ran there last cycle: staleness 1/8.
     t0 = make_test("t0", duration=1.0)
     instance = make_instance(
-        [(t0, 0.5)], [make_agent("a0")], pairs={("t0", "a0"): 4}, cycle=5
+        [(t0, 0.5)], [make_agent("a0")], pair_last={"t0": {"a0": 4}}, cycle=5
     )
     got = schedule_greedy(instance)
     assert got.objective == ObjectiveVector(0.5, 1 / 8, 1.0)

@@ -154,7 +154,7 @@ def test_diversity_drives_rotation():
     instance = make_instance(
         [(t0, 0.5)],
         [make_agent("a0"), make_agent("a1")],
-        pairs={("t0", "a0"): 4, ("t0", "a1"): 1},
+        pair_last={"t0": {"a0": 4, "a1": 1}},
         cycle=5,
     )
     got, _ = solve_detailed(instance)
@@ -297,7 +297,7 @@ def generated_instance(tests: int, agents: int, diversity: bool, seed: int = 3):
     for t in cases:
         for a in pool:
             if a.id in t.compatible_agents and rng.random() < 0.5:
-                pairs[(t.id, a.id)] = int(rng.integers(0, 10))
+                pairs.setdefault(t.id, {})[a.id] = int(rng.integers(0, 10))
     ranked = prioritize_all(cases, HistoryStore(), PriorityWeights(), 10)
     # A 100 s budget leaves the node budget as the only stop.
     return build_instance(
@@ -389,7 +389,7 @@ def tight_instance(diversity: bool, seed: int = 3):
     ])
     ranked = prioritize_all(cases, history, PriorityWeights(), 1)
     return build_instance(
-        ranked, pool, history.pair_last_cycle(), 1,
+        ranked, pool, history.pair_last, 1,
         solver_time_budget_ms=100_000, diversity=diversity,
     )
 
