@@ -116,9 +116,8 @@ class SchedulingInstance:
         if len(agent_ids) != len(self.agents):
             raise ValueError("duplicate agent ids")
         for t_id, row in self.pair_last.items():
-            for a_id in row:
-                if t_id not in test_ids or a_id not in agent_ids:
-                    raise ValueError(f"pair_last entry ({t_id!r}, {a_id!r}) refers to unknown ids")
+            if t_id not in test_ids or not agent_ids.issuperset(row):
+                raise ValueError(f"pair_last row {t_id!r} refers to unknown ids")
         prev = None
         for p in self.prioritized:
             key = (-p.priority, p.test.id)
@@ -141,7 +140,18 @@ def build_instance(
     staleness_cap: int = 8,
     diversity: bool = True,
 ) -> SchedulingInstance:
-    """Assemble an instance, copying the pair history rows of this cycle's ids only."""
+    """Assemble an instance, copying the pair history rows of this cycle's ids only.
+
+    ``pair_last`` is as HistoryStore holds it. (test id, agent id) keys, which
+    perfbench's tests still pass, are regrouped first; other keys raise TypeError.
+    """
+    kinds = set(map(type, pair_last))
+    if kinds == {tuple}:
+        flat, pair_last = pair_last, {}
+        for (t_id, a_id), c in flat.items():
+            pair_last.setdefault(t_id, {})[a_id] = c
+    elif not kinds <= {str}:
+        raise TypeError("pair_last must map test ids to {agent id: last cycle} rows")
     agent_ids = {a.id for a in agents}
     last = {
         p.test.id: {a_id: c for a_id, c in pair_last[p.test.id].items() if a_id in agent_ids}

@@ -132,6 +132,17 @@ def test_build_instance_drops_stale_pair_keys():
     assert instance.pair_last == {"t0": {"a0": 1}}
 
 
+def test_build_instance_regroups_a_tuple_keyed_history_and_rejects_other_shapes():
+    args = ([PrioritizedTest(make_test("t0", agents=("a0", "a1")), 0.5)], [make_agent("a0"), make_agent("a1")])
+    flat = {("t0", "a0"): 1, ("t0", "a1"): 2, ("t0", "gone"): 3, ("gone", "a0"): 2}
+    instance = build_instance(*args, flat, current_cycle=4)
+    assert instance.pair_last == {"t0": {"a0": 1, "a1": 2}}
+    assert instance == build_instance(*args, {"t0": {"a0": 1, "a1": 2}}, current_cycle=4)
+    for bad in ({"t0": {"a0": 1}, ("t0", "a1"): 2}, {1: {"a0": 1}}, {frozenset(("t0", "a0")): 1}):
+        with pytest.raises(TypeError):
+            build_instance(*args, bad, current_cycle=4)
+
+
 def test_built_instance_keeps_its_pair_history_after_add_cycle():
     # A built instance holds copies of the store's rows: later cycles that
     # rerun one of its pairs leave it as it was built.
