@@ -42,11 +42,10 @@ from cisched.reporting import (
     CycleReport,
     EmptyCampaignError,
     campaign_summary,
-    export_plot_data,  # not called here; perfbench traces it on this module
+    export_plot_data,
     load_report,
     timeline_csv,
     utilization,
-    write_plot_data,
 )
 from cisched.scheduling import InfeasibleError, build_instance, schedule_greedy
 from cisched.simulator import CycleError, SchedulerKind, SimulationConfig, run_simulation
@@ -63,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except _InvalidRepositoryError as exc:
+        message, violations = exc.args
+        return _fail("validation", message, violations=violations)
     except InfeasibleError as exc:
         return _fail("infeasible", str(exc), test_ids=list(exc.test_ids))
     except CycleError as exc:
@@ -170,6 +172,10 @@ def _overrides(args) -> dict:
     return overrides
 
 
+class _InvalidRepositoryError(Exception):
+    """A repository that breaks the domain invariants: its message and violations."""
+
+
 def _load_valid_repository(path: str):
     tests, agents = load_repository(path)
     result = validate_repository(tests, agents)
@@ -178,26 +184,19 @@ def _load_valid_repository(path: str):
             {"kind": v.kind.value, "subject": v.subject, "message": v.message}
             for v in result.violations
         ]
-        _fail("validation", f"invalid repository: {path}", violations=violations)
-        return None
+        raise _InvalidRepositoryError(f"invalid repository: {path}", violations)
     return tests, agents
 
 
 def _cmd_validate(args) -> int:
-    loaded = _load_valid_repository(args.repo)
-    if loaded is None:
-        return 1
-    tests, agents = loaded
+    tests, agents = _load_valid_repository(args.repo)
     _emit({"status": "ok", "tests": len(tests), "agents": len(agents)})
     return 0
 
 
 def _cmd_prioritize(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    loaded = _load_valid_repository(args.repo)
-    if loaded is None:
-        return 1
-    tests, agents = loaded
+    tests, agents = _load_valid_repository(args.repo)
     history = load_history(args.history) if args.history else HistoryStore()
     eligible, _ = filter_eligible(tests, agents)
     prioritized = prioritize_all(eligible, history, cfg.priority, history.current_cycle)
@@ -214,10 +213,7 @@ def _cmd_prioritize(args) -> int:
 
 def _cmd_schedule(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    loaded = _load_valid_repository(args.repo)
-    if loaded is None:
-        return 1
-    tests, agents = loaded
+    tests, agents = _load_valid_repository(args.repo)
     history = load_history(args.history)
     cycle = history.current_cycle
     eligible, active_agents = filter_eligible(tests, agents)
@@ -267,10 +263,7 @@ def _cmd_simulate(args) -> int:
     sim = cfg.simulation
     defect_probabilities = {}
     if args.repo:
-        loaded = _load_valid_repository(args.repo)
-        if loaded is None:
-            return 1
-        tests, agents = loaded
+        tests, agents = _load_valid_repository(args.repo)
     else:
         spec = load_workload(args.workload) if args.workload else cfg.workload
         if args.seed is not None:
@@ -315,7 +308,7 @@ def _cmd_report(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         written = []
         if args.format == "csv":
-            written.extend(str(p) for p in write_plot_data(reports, timeline(), out))
+            written.extend(str(p) for p in export_plot_data(reports, timeline(), out))
         else:
             reports_path = out / "reports.json"
             codec.save_list(reports, reports_path)

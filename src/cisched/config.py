@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -60,6 +61,8 @@ class SimulationSettings:
             raise ValueError("default_defect_probability must be in [0, 1]")
         if not 0 < self.jitter_low <= self.jitter_high:
             raise ValueError("jitter_low must be in (0, jitter_high]")
+        if self.jitter_high == math.inf:
+            raise ValueError("jitter_high must be finite")
 
 
 @dataclass(frozen=True)

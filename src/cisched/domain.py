@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import tempfile
@@ -106,12 +107,13 @@ def validate_repository(
                 Violation(ViolationKind.DUPLICATE_ID, t.id, f"duplicate test id {t.id!r}")
             )
         seen_tests.add(t.id)
-        if not t.avg_duration > 0:
+        expected = _expected_positive(t.avg_duration)
+        if expected:
             violations.append(
                 Violation(
                     ViolationKind.NON_POSITIVE_DURATION,
                     t.id,
-                    f"test {t.id!r} has avg_duration {t.avg_duration}, expected > 0",
+                    f"test {t.id!r} has avg_duration {t.avg_duration}, expected {expected}",
                 )
             )
         if not t.compatible_agents:
@@ -138,16 +140,26 @@ def validate_repository(
                 Violation(ViolationKind.DUPLICATE_ID, a.id, f"duplicate agent id {a.id!r}")
             )
         seen_agents.add(a.id)
-        if not a.budget > 0:
+        expected = _expected_positive(a.budget)
+        if expected:
             violations.append(
                 Violation(
                     ViolationKind.NON_POSITIVE_BUDGET,
                     a.id,
-                    f"agent {a.id!r} has budget {a.budget}, expected > 0",
+                    f"agent {a.id!r} has budget {a.budget}, expected {expected}",
                 )
             )
 
     return ValidationResult(tuple(violations))
+
+
+def _expected_positive(value: float) -> str | None:
+    """What a duration or budget must be that ``value`` is not, or None."""
+    if not value > 0:
+        return "> 0"
+    if value == math.inf:
+        return "a finite value"
+    return None
 
 
 def filter_eligible(
@@ -327,8 +339,8 @@ def append_history(path: str | Path, records: Sequence[ExecutionRecord], complet
         )
     write = codec.line_writer(ExecutionRecord, type="record")
     lines = [write(r) for r in records]
-    marker = {"type": "cycle", **codec.encode(_CycleMarker(completed_cycle))}
-    lines.append(json.dumps(marker, sort_keys=True))
+    marker = codec.line_writer(_CycleMarker, type="cycle", format_version=codec.FORMAT_VERSION)
+    lines.append(marker(_CycleMarker(completed_cycle)))
     with open(path, "ab") as fh:
         # Cut just past the marker's text and rewrite its newline with the block.
         fh.truncate(end)

@@ -9,6 +9,7 @@ of the order agents execute in.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,8 +68,8 @@ class OutcomeModel:
         if not 0.0 <= self.default_probability <= 1.0:
             raise ValueError(f"default probability not in [0, 1]: {self.default_probability}")
         lo, hi = self.duration_jitter
-        if not 0 < lo <= hi:
-            raise ValueError(f"jitter interval must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(f"jitter interval must satisfy 0 < lo <= hi < inf, got [{lo}, {hi}]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

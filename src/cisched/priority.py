@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,8 +33,8 @@ class PriorityWeights:
 
     def validate(self) -> None:
         for name in ("w_staleness", "w_duration", "w_results", "w_static"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.history_window < 1:
             raise ValueError("history_window must be >= 1")
         if not 0.0 < self.decay < 1.0:

@@ -167,20 +167,6 @@ def campaign_summary(reports: Sequence[CycleReport]) -> CampaignSummary:
     )
 
 
-def export_plot_data(
-    reports: Sequence[CycleReport],
-    plans: Sequence[TestPlan],
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write utilization, histogram, and timeline CSVs for plotting.
-
-    The timeline lists the plans by cycle, then agent id (see
-    :func:`timeline_csv`). Returns the written paths.
-    """
-    ordered = sorted(plans, key=lambda p: (p.cycle, p.agent_id))
-    return write_plot_data(reports, [timeline_csv(ordered)], out_dir)
-
-
 def timeline_csv(plans: Iterable[TestPlan]) -> str:
     """The timeline CSV rows of ``plans``, in the given order, without the header.
 
@@ -206,15 +192,16 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def write_plot_data(
+def export_plot_data(
     reports: Sequence[CycleReport],
     timeline: Iterable[str],
     out_dir: str | Path,
 ) -> list[Path]:
-    """:func:`export_plot_data` with the timeline rendered already.
+    """Write utilization, histogram, and timeline CSVs for plotting.
 
     ``timeline`` holds :func:`timeline_csv` texts, written in turn under
-    the header, so several cycles' rows can be rendered apart.
+    the header, so several cycles' rows can be rendered apart. Returns the
+    written paths.
     """
     if not reports:
         raise EmptyCampaignError("export_plot_data requires at least one report")

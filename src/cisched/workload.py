@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,16 +31,16 @@ class WorkloadSpec:
             raise ValueError("test_count must be >= 0")
         if self.agent_count < 1:
             raise ValueError("agent_count must be >= 1")
-        if not 0 < self.duration_min <= self.duration_max:
-            raise ValueError("duration bounds must satisfy 0 < min <= max")
+        if not 0 < self.duration_min <= self.duration_max < math.inf:
+            raise ValueError("duration bounds must satisfy 0 < min <= max < inf")
         if not 0 < self.compatibility_density <= 1:
             raise ValueError("compatibility_density must be in (0, 1]")
         if not 0 <= self.obligatory_fraction <= 1:
             raise ValueError("obligatory_fraction must be in [0, 1]")
         if not 0 <= self.defect_min <= self.defect_max <= 1:
             raise ValueError("defect bounds must satisfy 0 <= min <= max <= 1")
-        if self.budget <= 0:
-            raise ValueError("budget must be > 0")
+        if not 0 < self.budget < math.inf:
+            raise ValueError("budget must be finite and > 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -19,6 +19,7 @@ import pytest
 from cisched import ExecutionRecord, Outcome, save_repository
 from cisched.cli import main
 from cisched.codec import FORMAT_VERSION, encode_fields
+from cisched.reporting import export_plot_data
 
 from helpers import make_agent, make_test, src_env
 
@@ -91,6 +92,27 @@ def test_validate_rejects_broken_repo(tmp_path):
     payload = json.loads(proc.stderr)
     assert payload["error"] == "validation"
     assert payload["violations"]
+
+
+@pytest.mark.parametrize(
+    "section, field, subject", [("tests", "avg_duration", "t0"), ("agents", "budget", "a0")]
+)
+def test_schedule_rejects_an_infinite_repository_value(tmp_path, capsys, section, field, subject):
+    repo = small_repo_path(tmp_path)
+    doc = json.loads(repo.read_text(encoding="utf-8"))
+    doc[section][0][field] = float("inf")
+    repo.write_text(json.dumps(doc), encoding="utf-8")
+    assert "Infinity" in repo.read_text(encoding="utf-8")
+    history = tmp_path / "history.jsonl"
+    history.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_main(capsys, "schedule", "--repo", str(repo), "--history", str(history), "--out", str(out))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "validation"
+    assert [(v["subject"], v["message"]) for v in payload["violations"]] == [
+        (subject, f"{section[:-1]} {subject!r} has {field} inf, expected a finite value")
+    ]
 
 
 def test_prioritize_lists_descending(tmp_path):
@@ -314,7 +336,9 @@ def test_report_names_a_malformed_plan_read_by_a_worker(six_cycles, tmp_path, mo
         assert payload["error"] == "invalid_input"
         assert payload["message"].startswith(f"{plan}: ")
         messages.append(payload["message"])
-        assert not (out / "timeline.csv").exists()
+        # The CSVs are written after the last worker returned, so none is.
+        for name in ("utilization.csv", "priority_histogram.csv", "timeline.csv"):
+            assert not (out / name).exists()
     assert messages[0] == messages[1]
 
 
@@ -364,6 +388,22 @@ def _with_value(path, place, value):
         parent = parent[key]
     parent[place[-1]] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+@pytest.mark.parametrize("cpus", [3, 1], ids=["worker", "in-process"])
+def test_report_writes_the_csvs_through_export_plot_data_once(
+    six_cycles, tmp_path, monkeypatch, capsys, cpus
+):
+    calls = []
+
+    def recorder(reports, timeline, out_dir):
+        calls.append([r.cycle for r in reports])
+        return export_plot_data(reports, timeline, out_dir)
+
+    monkeypatch.setattr("cisched.cli.export_plot_data", recorder)
+    proc = report_on_cpus(monkeypatch, capsys, cpus, six_cycles, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert calls == [list(range(6))]
 
 
 @pytest.mark.parametrize("cpus", [3, 1], ids=["worker", "in-process"])
@@ -677,6 +717,15 @@ def test_nodes_per_ms_is_an_unknown_key(tmp_path):
     assert payload["error"] == "unknown_key"
     assert "solver.nodes_per_ms" in payload["message"]
     assert not (tmp_path / "x").exists()
+
+
+def test_infinite_workload_budget_is_a_type_mismatch(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text("workload:\n  budget: .inf\n", encoding="utf-8")
+    proc = run_main(capsys, "simulate", "--config", str(config), "--out", str(tmp_path / "sim"))
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload == {"error": "type_mismatch", "message": "workload: budget must be finite and > 0"}
 
 
 def test_missing_config_file_exits_1(tmp_path):

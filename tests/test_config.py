@@ -160,6 +160,27 @@ def test_semantic_validation(tmp_path):
             parse_config(None, {dotted: value})
 
 
+@pytest.mark.parametrize(
+    "dotted, value",
+    [
+        ("workload.budget", ".inf"),
+        ("workload.budget", ".nan"),
+        ("workload.duration_max", ".inf"),
+        ("simulation.jitter_high", ".inf"),
+        ("priority.w_staleness", ".inf"),
+        ("priority.w_duration", ".nan"),
+        ("priority.w_results", ".inf"),
+        ("priority.w_static", ".inf"),
+        ("priority.w_static", ".nan"),
+    ],
+)
+def test_non_finite_floats_are_rejected(tmp_path, dotted, value):
+    section, _, key = dotted.partition(".")
+    path = write_config(tmp_path, f"{section}:\n  {key}: {value}\n")
+    with pytest.raises(TypeMismatchError, match=rf"^{section}: "):
+        parse_config(path)
+
+
 def test_scheduler_values(tmp_path):
     # A Python caller may pass the member itself; JSON and YAML give strings.
     for value in ("greedy", SchedulerKind.GREEDY):

@@ -90,6 +90,35 @@ def test_validate_reports_every_violation():
     assert ViolationKind.DUPLICATE_ID in result.kinds_for("a0")
 
 
+@pytest.mark.parametrize(
+    "tests, agents, violation",
+    [
+        (
+            [make_test("t0", duration=float("inf"))],
+            [make_agent("a0")],
+            (
+                ViolationKind.NON_POSITIVE_DURATION,
+                "t0",
+                "test 't0' has avg_duration inf, expected a finite value",
+            ),
+        ),
+        (
+            [make_test("t0")],
+            [make_agent("a0", budget=float("inf"))],
+            (
+                ViolationKind.NON_POSITIVE_BUDGET,
+                "a0",
+                "agent 'a0' has budget inf, expected a finite value",
+            ),
+        ),
+    ],
+    ids=["avg_duration", "budget"],
+)
+def test_validate_flags_an_infinite_duration_or_budget(tests, agents, violation):
+    result = validate_repository(tests, agents)
+    assert [(v.kind, v.subject, v.message) for v in result.violations] == [violation]
+
+
 def test_validation_result_ok_is_empty():
     assert ValidationResult(()).ok
 

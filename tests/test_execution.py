@@ -170,6 +170,9 @@ def test_outcome_model_validation():
         OutcomeModel({}, duration_jitter=(0.0, 1.0))
     with pytest.raises(ValueError):
         OutcomeModel({}, duration_jitter=(1.2, 1.1))
+    for jitter in [(0.9, float("inf")), (float("inf"), float("inf"))]:
+        with pytest.raises(ValueError, match="jitter interval"):
+            OutcomeModel({}, duration_jitter=jitter)
     with pytest.raises(ValueError):
         OutcomeModel({}, seed=-1)
     model = OutcomeModel({"t0": 0.3}, default_probability=0.02)

@@ -32,7 +32,7 @@ from cisched import (
     utilization,
 )
 from cisched.codec import FORMAT_VERSION, decode, encode
-from cisched.reporting import timeline_csv, write_plot_data
+from cisched.reporting import timeline_csv
 
 from helpers import make_agent, make_test
 
@@ -237,7 +237,7 @@ def test_export_plot_data_writes_three_csvs(tmp_path):
         ),
         TestPlan("a0", 1, (PlanEntry("t2", planned_duration=1.0, priority=0.5),)),
     ]
-    paths = export_plot_data(reports, plans, tmp_path)
+    paths = export_plot_data(reports, [timeline_csv(plans)], tmp_path)
     assert [p.name for p in paths] == [
         "utilization.csv",
         "priority_histogram.csv",
@@ -274,9 +274,11 @@ def test_timeline_rendered_in_chunks_writes_the_same_bytes(tmp_path):
         TestPlan("a0", 0, (PlanEntry("t1", planned_duration=1.5, priority=0.4),)),
         TestPlan("a0", 1, (PlanEntry("t2", planned_duration=1.0, priority=0.5),)),
     ]
-    whole = export_plot_data(reports, plans, tmp_path / "whole")
+    # By cycle, then agent id, as cisched report orders the plans.
+    ordered = [plans[1], plans[0], plans[2]]
+    whole = export_plot_data(reports, [timeline_csv(ordered)], tmp_path / "whole")
     chunks = [timeline_csv([plans[1], plans[0]]), timeline_csv(plans[2:])]
-    parts = write_plot_data(reports, chunks, tmp_path / "parts")
+    parts = export_plot_data(reports, chunks, tmp_path / "parts")
     assert [p.read_bytes() for p in parts] == [p.read_bytes() for p in whole]
     assert whole[2].read_bytes().startswith(b"cycle,agent_id,test_id,start_offset,duration\r\n0,a0,")
 
