@@ -50,7 +50,7 @@ from cisched.reporting import (
 from cisched.scheduling import InfeasibleError, build_instance, schedule_greedy
 from cisched.simulator import CycleError, SchedulerKind, SimulationConfig, run_simulation
 from cisched.solver import solve_detailed
-from cisched.workload import generate_workload, load_workload
+from cisched.workload import WorkloadSpec, generate_workload, load_workload
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -255,6 +255,14 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
+def _workload_spec(args, cfg) -> WorkloadSpec:
+    """The --workload file's spec, or the config's, with --seed applied."""
+    spec = load_workload(args.workload) if args.workload else cfg.workload
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    return spec
+
+
 def _cmd_simulate(args) -> int:
     if args.history and not args.repo:
         print("cisched simulate: --history requires --repo", file=sys.stderr)
@@ -265,10 +273,7 @@ def _cmd_simulate(args) -> int:
     if args.repo:
         tests, agents = _load_valid_repository(args.repo)
     else:
-        spec = load_workload(args.workload) if args.workload else cfg.workload
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        tests, agents, generated = generate_workload(spec)
+        tests, agents, generated = generate_workload(_workload_spec(args, cfg))
         defect_probabilities = generated.defect_probabilities
     # Per-test defect rates come from a generated workload; stream seed and
     # jitter belong to the simulation section.
@@ -389,10 +394,7 @@ def _timeline_rows(in_dir: Path, cycles: list[int]) -> str:
 
 def _cmd_generate_workload(args) -> int:
     cfg = parse_config(args.config, _overrides(args))
-    spec = load_workload(args.workload) if args.workload else cfg.workload
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    tests, agents, model = generate_workload(spec)
+    tests, agents, model = generate_workload(_workload_spec(args, cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_repository(tests, agents, out / "repository.json")

@@ -229,14 +229,6 @@ class HistoryStore:
             self.pair_last.setdefault(r.test_id, {})[r.agent_id] = r.cycle
         self.current_cycle += 1
 
-    def recent_fails(self, test_id: str, k: int) -> str:
-        """Letters of the test's newest k results, newest first."""
-        return self.fails.get(test_id, "")[:-k - 1:-1]
-
-    def last_execution(self, test_id: str) -> int | None:
-        """Cycle of the most recent execution, or None if never executed."""
-        return self.last.get(test_id)
-
 
 @dataclass(frozen=True)
 class Repository:

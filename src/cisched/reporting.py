@@ -125,8 +125,13 @@ def make_cycle_report(
             actual_by_agent[record.agent_id] = (
                 actual_by_agent.get(record.agent_id, 0.0) + record.actual_duration
             )
-    budget_total = sum(a.budget for a in agents)
-    actual_total = sum(actual_by_agent.values())
+    # Added left to right, not by sum(), whose float rounding changed in
+    # Python 3.12: report.json must be the same bytes on every version.
+    budget_total = actual_total = 0.0
+    for agent in agents:
+        budget_total += agent.budget
+    for agent_total in actual_by_agent.values():
+        actual_total += agent_total
     overruns = sum(1 for a in agents if actual_by_agent.get(a.id, 0.0) > a.budget)
 
     return CycleReport(

@@ -181,5 +181,5 @@ def history_readers(store, test_ids):
     return (
         store.current_cycle,
         {t_id: dict(row) for t_id, row in store.pair_last.items()},
-        {t: (store.last_execution(t), store.recent_fails(t, 1000)) for t in test_ids},
+        {t: (store.last.get(t), store.fails.get(t, "")) for t in test_ids},
     )

@@ -38,7 +38,6 @@ from cisched import (
     schedule_greedy,
     schedule_oracle,
     solve_detailed,
-    staleness,
 )
 from cisched.codec import encode
 from cisched.execution import load_plan, load_result, save_plan, save_result
@@ -231,13 +230,18 @@ def test_criterion_5_priority_dynamics(tmp_path):
         assert set(priorities) == {"tfail", "tpass"}
         assert priorities["tfail"] > priorities["tpass"]
 
-        # Unexecuted for exactly `cap` cycles: staleness saturates at 1.0.
+        # Unexecuted for exactly `cap` cycles: staleness saturates at 1.0,
+        # which a staleness-only weighting gives as the priority itself.
         cap = weights.staleness_cap
         store = HistoryStore()
         store.add_cycle([ExecutionRecord("tfail", "a0", 0, Outcome.PASS, 1.0)])
         for _ in range(cap - 1):
             store.add_cycle([])
-        assert staleness("tfail", store, store.current_cycle, cap) == 1.0
+        stale_only = PriorityWeights(
+            w_staleness=1.0, w_duration=0.0, w_results=0.0, w_static=0.0, staleness_cap=cap
+        )
+        [ranked] = prioritize_all(tests[:1], store, stale_only, store.current_cycle)
+        assert ranked.priority == 1.0
 
 
 CRITERION_6_CONFIG = (

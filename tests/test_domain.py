@@ -150,13 +150,8 @@ def test_history_store_indexes_records():
     store.add_cycle([record("t0", "a0", 0), record("t1", "a1", 0, Outcome.FAIL)])
     store.add_cycle([record("t0", "a1", 1, Outcome.FAIL)])
     assert store.current_cycle == 2
-    assert store.recent_fails("t0", 5) == "fp"
-    assert store.recent_fails("t0", 1) == "f"
-    assert store.recent_fails("t1", 5) == "f"
-    assert store.recent_fails("missing", 5) == ""
-    assert store.last_execution("t0") == 1
-    assert store.last_execution("t1") == 0
-    assert store.last_execution("missing") is None
+    assert store.fails == {"t0": "pf", "t1": "f"}
+    assert store.last == {"t0": 1, "t1": 0}
     assert store.pair_last == {"t0": {"a0": 0, "a1": 1}, "t1": {"a1": 0}}
 
 
@@ -184,8 +179,8 @@ def test_history_store_rejects_duplicates_and_regressions():
     # The corrected block then merges.
     store.add_cycle([record("t2", "a0", 1), record("t0", "a1", 1, Outcome.FAIL)])
     assert store.current_cycle == 2
-    assert store.last_execution("t0") == 1
-    assert store.recent_fails("t0", 5) == "fp"
+    assert store.last["t0"] == 1
+    assert store.fails["t0"] == "pf"
 
 
 def test_history_store_state_ignores_record_order():
@@ -262,8 +257,8 @@ def test_history_log_discards_interrupted_cycle(tmp_path):
             + "\n"
         )
     store = load_history(path)
-    assert store.last_execution("t9") is None
-    assert store.recent_fails("t9", 5) == ""
+    assert "t9" not in store.last
+    assert "t9" not in store.fails
     assert store.pair_last == {"t0": {"a0": 0}}
     assert store.current_cycle == 1
 

@@ -235,10 +235,10 @@ def test_rejected_merge_changes_nothing_and_a_corrected_retry_merges():
     collect_results([fixed, first], history)
     assert history.current_cycle == 2
     assert history.pair_last == {"t1": {"a": 1}, "t0": {"a": 1}, "t2": {"b": 1}}
-    assert history.recent_fails("t1", 5) == "pf"
+    assert history.fails["t1"] == "fp"
     later = AgentResult("a", 2, (ExecutionRecord("t2", "a", 2, Outcome.PASS, 1.0),), ())
     collect_results([later], history)
-    assert history.last_execution("t2") == 2
+    assert history.last["t2"] == 2
 
 
 def test_artifact_paths():

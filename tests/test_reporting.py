@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from cisched import (
     save_report,
     utilization,
 )
+from cisched import reporting
 from cisched.codec import FORMAT_VERSION, decode, encode
 from cisched.reporting import timeline_csv
 
@@ -180,6 +182,25 @@ def test_make_cycle_report_counts():
     assert report.budget_overruns == 1
     assert sum(report.priority_histogram) == 3
 
+
+
+def test_make_cycle_report_adds_totals_left_to_right(monkeypatch):
+    # Python 3.12's sum() adds floats with compensation, as math.fsum does:
+    # 0.1, 0.2 and 0.3 give 0.6 there and 0.6000000000000001 left to right,
+    # which 3.10 and 3.11 write. Shadowing sum() with fsum stands in for 3.12.
+    monkeypatch.setattr(reporting, "sum", math.fsum, raising=False)
+    agents = [make_agent(f"a{j}", budget=1.0) for j in range(3)]
+    prioritized = [PrioritizedTest(make_test(f"t{j}", agents=(f"a{j}",)), 0.5) for j in range(3)]
+    schedule = Schedule(
+        assignments={f"a{j}": (f"t{j}",) for j in range(3)},
+        objective=ObjectiveVector(1.5, 3.0, 3.0),
+    )
+    results = [
+        AgentResult(f"a{j}", 0, (ExecutionRecord(f"t{j}", f"a{j}", 0, Outcome.PASS, d),), ())
+        for j, d in enumerate((0.1, 0.2, 0.3))
+    ]
+    report = make_cycle_report(0, schedule, prioritized, agents, results)
+    assert report.actual_utilization == (0.1 + 0.2 + 0.3) / 3.0
 
 def test_campaign_summary_aggregates():
     reports = [

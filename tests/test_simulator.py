@@ -58,7 +58,7 @@ def test_run_cycle_advances_history():
     assert report.cycle == 0
     assert report.executed_count == report.scheduled_count > 0
     assert report.dropped_tests == 3 - report.scheduled_count
-    executed = [t.id for t in tests if state.history.last_execution(t.id) == 0]
+    executed = [t.id for t in tests if state.history.last.get(t.id) == 0]
     assert len(executed) == report.executed_count
     assert "t3" not in executed
 
