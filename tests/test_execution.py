@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cisched import (
     AgentResult,
@@ -32,7 +34,7 @@ from cisched import (
     save_result,
 )
 from cisched.codec import FORMAT_VERSION, decode, encode
-from cisched.execution import _entry_seed
+from cisched.execution import _draw_streams, _entry_seed, _words
 
 from helpers import history_readers, make_agent, make_test
 
@@ -119,6 +121,48 @@ def test_execute_plan_draws_as_the_int_tuple_seeds(seed, cycle):
     )
     model = OutcomeModel({}, default_probability=0.5, seed=seed)
     assert execute_plan(plan, model).records == tuple_seeded_records(plan, model)
+
+
+def numpy_draws(head, entry_seeds, lo, hi):
+    """Each entry's random() and uniform(lo, hi) from numpy's own objects."""
+    fail_draws, jitters = [], []
+    for seed in entry_seeds:
+        words = np.array(head + _words(seed), dtype=np.uint32)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        fail_draws.append(rng.random())
+        jitters.append(rng.uniform(lo, hi))
+    return fail_draws, jitters
+
+
+uint32s = st.integers(0, 2**32 - 1)
+# Seeds below 2**32 are one word long, so SeedSequence never sees a zero
+# high word; real test ids reach that about once in 2**32.
+entry_seeds = st.one_of(uint32s, st.integers(0, 2**64 - 1))
+jitters = st.tuples(st.floats(0.01, 10.0), st.floats(0.0, 10.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    head=st.lists(uint32s, min_size=3, max_size=6),
+    seeds=st.lists(entry_seeds, max_size=20),
+    jitter=jitters,
+)
+@example(head=[1, 2, 3], seeds=[5, 2**40 + 7], jitter=(0.9, 1.1))
+@example(head=[0] * 6, seeds=[0, 2**64 - 1], jitter=(1.0, 1.0))
+def test_draw_streams_match_numpys_generators(head, seeds, jitter):
+    # A three-word head is completed by each entry's first word, which then
+    # runs SeedSequence's all-pairs mixing; ids reach it about once in 2**32.
+    assert _draw_streams(head, seeds, *jitter) == numpy_draws(head, seeds, *jitter)
+
+
+@pytest.mark.parametrize("head_words", [3, 4, 5, 6])
+@pytest.mark.parametrize("entries", [0, 1, 200])
+@pytest.mark.parametrize("jitter", [(0.9, 1.1), (0.5, 0.5)])
+def test_draw_streams_match_numpy_at_plan_size_edges(head_words, entries, jitter):
+    rng = random.Random(head_words * 1000 + entries)
+    head = [rng.getrandbits(32) for _ in range(head_words)]
+    seeds = [rng.getrandbits(rng.choice((16, 32, 64))) for _ in range(entries)]
+    assert _draw_streams(head, seeds, *jitter) == numpy_draws(head, seeds, *jitter)
 
 
 def test_execute_plan_respects_probabilities_and_jitter():
