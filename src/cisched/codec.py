@@ -129,6 +129,11 @@ def save(obj: Any, path: str | Path) -> None:
     _write(path, dumps(obj))
 
 
+def file_bytes(obj: Any) -> bytes:
+    """The bytes save(obj, path) writes."""
+    return _file_bytes(dumps(obj))
+
+
 def save_list(objs: Sequence[Any], path: str | Path) -> None:
     """Write a list of versioned documents in the same layout."""
     texts = [_writer(type(obj), _VERSION)(obj, "\n  ") for obj in objs]
@@ -147,7 +152,11 @@ def load(cls: type[T], path: str | Path, *, version_optional: bool = False) -> T
 def _write(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_bytes(_file_bytes(text))
+
+
+def _file_bytes(text: str) -> bytes:
+    return (text + "\n").encode("utf-8")
 
 
 # A value rule is (JSON type, decoder, encoder, as-is types). The decoder

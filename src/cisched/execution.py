@@ -109,6 +109,9 @@ def emit_test_plans(
     return plans
 
 
+# Every cycle hashes the same ids again; the bound keeps the ids of a
+# 16k-test repository, at about 200 bytes each.
+@functools.lru_cache(maxsize=1 << 14)
 def _entry_seed(label: str) -> int:
     return int.from_bytes(hashlib.blake2b(label.encode(), digest_size=8).digest(), "big")
 

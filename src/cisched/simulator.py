@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import shutil
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from cisched import codec, cyclewriter
 from cisched.domain import (
     HistoryStore,
     TestAgent,
@@ -30,6 +33,8 @@ from cisched.execution import (
     plan_path,
     report_path,
     result_path,
+    # The cycle writer writes the files that save_plan, save_result and
+    # save_report would; perfbench's tracer still wraps the names here.
     save_plan,
     save_result,
 )
@@ -150,6 +155,112 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
     return _CycleArtifacts(report, tuple(plans), tuple(results), stats, wall_ms)
 
 
+def _cycle_files(out: Path, cycle: int, artifacts: _CycleArtifacts) -> list[tuple[str, bytes]]:
+    """The cycle directory's files as (path, bytes), the report last."""
+    files = [(str(plan_path(out, cycle, p.agent_id)), codec.file_bytes(p)) for p in artifacts.plans]
+    files += [
+        (str(result_path(out, cycle, r.agent_id)), codec.file_bytes(r)) for r in artifacts.results
+    ]
+    files.append((str(report_path(out, cycle)), codec.file_bytes(artifacts.report)))
+    return files
+
+
+class _CycleWriter:
+    """Persists each cycle under out: its directory, then its log lines.
+
+    The files are written by a writer process (cyclewriter.py), so one
+    cycle's files are written on another CPU while the next cycle runs.
+    With one CPU, or where the CPU set is unknown, put writes them in this
+    process. A cycle enters history.jsonl and timings.jsonl only once its
+    files are written, one cycle behind the loop, so the log never names a
+    cycle whose directory is incomplete.
+    """
+
+    def __init__(self, out: Path) -> None:
+        self._out = out
+        self._log_path = out / "history.jsonl"
+        self._timings_path = out / "timings.jsonl"
+        self._pending: tuple[int, _CycleArtifacts] | None = None
+        self._proc = None
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = 1
+        if cpus > 1:
+            # Imported here: about 4 ms that a run without out_dir skips.
+            import subprocess
+
+            # A fresh interpreter, since a fork would share this process's
+            # pages and slow it with copy-on-write faults. Unbuffered, so
+            # that close never flushes into a writer that has exited.
+            self._proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", cyclewriter.__file__],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                bufsize=0,
+            )
+
+    def put(self, cycle: int, artifacts: _CycleArtifacts) -> None:
+        """Write the cycle's directory, after logging the cycle put before it."""
+        # Encoded before the wait, while the writer may still be writing
+        # the cycle before.
+        files = _cycle_files(self._out, cycle, artifacts)
+        self.flush()
+        if self._proc is None:
+            cyclewriter.write_files(files)
+        else:
+            self._send(files)
+        self._pending = (cycle, artifacts)
+
+    def flush(self) -> None:
+        """Log the last cycle put, once its files are written; raise the error of a failed write."""
+        if self._pending is None:
+            return
+        cycle, artifacts = self._pending
+        self._pending = None
+        if self._proc is not None:
+            reply = self._proc.stdout.readline()
+            if not reply:
+                self._exited()
+            if reply != cyclewriter.OK:
+                cyclewriter.raise_reply(reply)
+        records = []
+        for result in sorted(artifacts.results, key=lambda r: r.agent_id):
+            records.extend(result.records)
+        append_history(self._log_path, records, cycle)
+        timing = {
+            "cycle": cycle,
+            "solver_wall_time_ms": artifacts.wall_ms,
+            "nodes": artifacts.stats.nodes if artifacts.stats else 0,
+            "completed": artifacts.stats.completed if artifacts.stats else True,
+            # A greedy cycle's schedule is the first-fill itself.
+            "seed": artifacts.stats.seed if artifacts.stats else "greedy",
+            # A greedy cycle runs no search.
+            "stop": artifacts.stats.stop if artifacts.stats else None,
+        }
+        with open(self._timings_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(timing, sort_keys=True) + "\n")
+
+    def close(self) -> None:
+        """End the writer process's input and wait for it to exit."""
+        if self._proc is not None:
+            self._proc.stdin.close()
+            self._proc.wait()
+            self._proc.stdout.close()
+
+    def _send(self, files: list[tuple[str, bytes]]) -> None:
+        header = json.dumps([[path, len(data)] for path, data in files]).encode("ascii")
+        frame = memoryview(b"".join([header, b"\n", *(data for _, data in files)]))
+        try:
+            while frame:
+                frame = frame[self._proc.stdin.write(frame):]
+        except BrokenPipeError:
+            self._exited()
+
+    def _exited(self) -> None:
+        raise OSError(f"the cycle writer exited with status {self._proc.wait()}")
+
+
 def run_simulation(
     config: SimulationConfig,
     tests: Sequence[TestCase],
@@ -158,16 +269,20 @@ def run_simulation(
 ) -> list[CycleReport]:
     """Run config.cycles cycles, persisting artifacts as they are produced.
 
-    With an out_dir set, each cycle writes its plans, results, and report
-    under cycle_<n>/ and appends to history.jsonl before the next cycle
-    starts, so partial runs are inspectable and a failed cycle leaves the
-    persisted history exactly as it was. Cycle directories an earlier run
-    left from this run's first cycle on are removed first. Solver timings
-    go to a separate timings.jsonl: they vary run to run, while everything
-    else is byte-stable for fixed seeds. A run that continues the log at
-    ``history_path`` starts history.jsonl as a copy of that log's bytes;
-    its first append cuts the records of an interrupted cycle after the
-    last cycle marker, which load_history discards too.
+    With an out_dir set, each cycle's plans, results and report go under
+    cycle_<n>/, written by a writer process while the next cycle runs, or
+    in this process on one CPU. A cycle is appended to history.jsonl only
+    once its directory is complete, so partial runs are inspectable and
+    the log never names a cycle whose files are missing. A failed cycle
+    first logs every earlier cycle and leaves the log ending there; a
+    failed write raises OSError naming the file, and the log ends at the
+    cycle before it. Cycle directories an earlier run left from this run's
+    first cycle on are removed first. Solver timings go to a separate
+    timings.jsonl, appended with the log: they vary run to run, while
+    everything else is byte-stable for fixed seeds. A run that continues
+    the log at ``history_path`` starts history.jsonl as a copy of that
+    log's bytes; its first append cuts the records of an interrupted cycle
+    after the last cycle marker, which load_history discards too.
     """
     # Read before the output log is rewritten, since out_dir may hold the
     # input log, and only once, since a pipe gives its bytes once. The first
@@ -175,47 +290,32 @@ def run_simulation(
     history, prior = load_history_copy(history_path) if history_path else (HistoryStore(), b"")
     state = SimulationState(tests=list(tests), agents=list(agents), history=history, config=config)
     out = Path(config.out_dir) if config.out_dir else None
-    log_path = None
-    timings_path = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         # Lower cycle directories hold the reports of the cycles continued.
         for n, stale in cycle_dirs(out):
             if n >= state.history.current_cycle:
                 shutil.rmtree(stale)
-        log_path = out / "history.jsonl"
-        timings_path = out / "timings.jsonl"
-        log_path.write_bytes(prior)
-        timings_path.write_text("", encoding="utf-8")
+        (out / "history.jsonl").write_bytes(prior)
+        (out / "timings.jsonl").write_text("", encoding="utf-8")
+    writer = _CycleWriter(out) if out is not None else None
 
     reports: list[CycleReport] = []
-    for _ in range(config.cycles):
-        cycle = state.history.current_cycle
-        try:
-            artifacts = _run_cycle(state)
-        except Exception as exc:
-            raise CycleError(cycle, exc) from exc
-        reports.append(artifacts.report)
-        if out is not None:
-            for plan in artifacts.plans:
-                save_plan(plan, plan_path(out, cycle, plan.agent_id))
-            for result in artifacts.results:
-                save_result(result, result_path(out, cycle, result.agent_id))
-            save_report(artifacts.report, report_path(out, cycle))
-            records = []
-            for result in sorted(artifacts.results, key=lambda r: r.agent_id):
-                records.extend(result.records)
-            append_history(log_path, records, cycle)
-            timing = {
-                "cycle": cycle,
-                "solver_wall_time_ms": artifacts.wall_ms,
-                "nodes": artifacts.stats.nodes if artifacts.stats else 0,
-                "completed": artifacts.stats.completed if artifacts.stats else True,
-                # A greedy cycle's schedule is the first-fill itself.
-                "seed": artifacts.stats.seed if artifacts.stats else "greedy",
-                # A greedy cycle runs no search.
-                "stop": artifacts.stats.stop if artifacts.stats else None,
-            }
-            with open(timings_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(timing, sort_keys=True) + "\n")
+    try:
+        for _ in range(config.cycles):
+            cycle = state.history.current_cycle
+            try:
+                artifacts = _run_cycle(state)
+            except Exception as exc:
+                if writer is not None:
+                    writer.flush()
+                raise CycleError(cycle, exc) from exc
+            reports.append(artifacts.report)
+            if writer is not None:
+                writer.put(cycle, artifacts)
+        if writer is not None:
+            writer.flush()
+    finally:
+        if writer is not None:
+            writer.close()
     return reports

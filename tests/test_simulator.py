@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import errno
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -21,8 +25,10 @@ from cisched import (
     load_result,
     run_cycle,
     run_simulation,
+    simulator,
 )
 from cisched.domain import ExecutionRecord, Outcome
+from cisched.execution import TestPlan
 
 from helpers import make_agent, make_test
 
@@ -36,6 +42,46 @@ def small_repo():
     ]
     agents = [make_agent("a0", budget=6.0), make_agent("a1", budget=6.0)]
     return tests, agents
+
+
+@pytest.fixture(autouse=True)
+def writers(monkeypatch):
+    """The writer processes a test starts; none may outlive its run."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    yield started
+    running = [proc for proc in started if proc.poll() is None]
+    for proc in running:
+        proc.kill()
+        proc.wait()
+    assert not running
+
+
+@pytest.fixture(params=[1, 2], ids=["in-process", "writer-process"])
+def cpus(request, monkeypatch):
+    """The CPU count the simulator sees: one writes the files in process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def artifact_bytes(out) -> dict:
+    """Every file of a run directory but timings.jsonl, by relative path."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in out.rglob("*")
+        if p.is_file() and p.name != "timings.jsonl"
+    }
+
+
+def timing_cycles(out) -> list[int]:
+    lines = (out / "timings.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line)["cycle"] for line in lines]
 
 
 def config(**overrides) -> SimulationConfig:
@@ -174,12 +220,103 @@ def test_cycle_error_carries_cycle_and_leaves_history_clean(tmp_path):
     assert not (out / "cycle_0").exists()
 
 
-def test_two_runs_are_byte_identical(tmp_path):
+def test_cycle_error_after_the_first_logs_every_earlier_cycle(tmp_path, monkeypatch, cpus, writers):
+    # Cycle 2 fails: cycles 0 and 1 are in the log, each with its whole
+    # directory, as a clean two-cycle run writes them.
+    tests, agents = small_repo()
+    clean = tmp_path / "clean"
+    run_simulation(config(cycles=2, out_dir=str(clean)), tests, agents)
+    real = simulator._run_cycle
+
+    def run_cycle(state):
+        if state.history.current_cycle == 2:
+            raise ValueError("no schedule")
+        return real(state)
+
+    monkeypatch.setattr(simulator, "_run_cycle", run_cycle)
+    out = tmp_path / "failing"
+    with pytest.raises(CycleError) as err:
+        run_simulation(config(cycles=4, out_dir=str(out)), tests, agents)
+    assert err.value.cycle == 2
+    assert artifact_bytes(out) == artifact_bytes(clean)
+    assert timing_cycles(out) == [0, 1]
+    assert len(writers) == 2 * (cpus - 1)
+
+
+@pytest.mark.parametrize("agent_id", ["a" * 256, "a\0b"], ids=["name-too-long", "nul"])
+def test_write_error_names_the_file_and_ends_the_log_at_the_cycle_before(
+    tmp_path, monkeypatch, cpus, writers, agent_id
+):
+    # From cycle 1 on, an extra plan goes to an agent whose plan file cannot
+    # be made: its name is longer than NAME_MAX (255 bytes), or holds a NUL.
+    tests, agents = small_repo()
+    clean = tmp_path / "clean"
+    run_simulation(config(cycles=1, out_dir=str(clean)), tests, agents)
+    real = simulator._run_cycle
+
+    def run_cycle(state):
+        artifacts = real(state)
+        cycle = artifacts.report.cycle
+        if cycle == 0:
+            return artifacts
+        return dataclasses.replace(artifacts, plans=artifacts.plans + (TestPlan(agent_id, cycle, ()),))
+
+    monkeypatch.setattr(simulator, "_run_cycle", run_cycle)
+    out = tmp_path / "run"
+    with pytest.raises((OSError, ValueError)) as err:
+        run_simulation(config(cycles=3, out_dir=str(out)), tests, agents)
+    # The error is the one that opening the file here raises.
+    path = str(out / "cycle_1" / f"plan_{agent_id}.json")
+    with pytest.raises(type(err.value)) as direct:
+        open(path, "wb")
+    assert type(err.value) is type(direct.value)
+    assert str(err.value) == str(direct.value)
+    if type(err.value) is not ValueError:
+        assert err.value.errno == errno.ENAMETOOLONG
+        assert err.value.filename == path
+    assert (out / "history.jsonl").read_bytes() == (clean / "history.jsonl").read_bytes()
+    assert timing_cycles(out) == [0]
+    written = artifact_bytes(out)
+    assert {k: v for k, v in written.items() if not k.startswith("cycle_1")} == artifact_bytes(clean)
+    assert "cycle_1/report.json" not in written
+    assert not (out / "cycle_2").exists()
+    assert len(writers) == 2 * (cpus - 1)
+
+
+def test_a_writer_that_dies_raises(tmp_path, monkeypatch, writers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tests, agents = small_repo()
+    real = simulator._run_cycle
+
+    def run_cycle(state):
+        if state.history.current_cycle == 1:
+            writers[0].kill()
+            writers[0].wait()
+        return real(state)
+
+    monkeypatch.setattr(simulator, "_run_cycle", run_cycle)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="cycle writer exited with status -9"):
+        run_simulation(config(cycles=3, out_dir=str(out)), tests, agents)
+    # Cycle 0 is logged only if its files were acknowledged before the kill.
+    logged = load_history(out / "history.jsonl").current_cycle
+    assert logged <= 1
+    assert all((out / f"cycle_{n}" / "report.json").is_file() for n in range(logged))
+    assert not (out / "cycle_2").exists()
+    assert len(writers) == 1
+
+
+def test_two_runs_are_byte_identical(tmp_path, monkeypatch, writers):
+    # The first run writes its files in a writer process, the second, on
+    # one CPU, in process.
     tests, agents = small_repo()
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     run_simulation(config(cycles=3, out_dir=str(out_a)), tests, agents)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_simulation(config(cycles=3, out_dir=str(out_b)), tests, agents)
+    assert len(writers) == 1
     files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*.json*"))
     files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*.json*"))
     assert files_a == files_b
