@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 import logging
 import os
+import select
 import shutil
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from cisched import codec, cyclewriter
 from cisched.domain import (
@@ -38,12 +40,14 @@ from cisched.execution import (
     save_plan,
     save_result,
 )
-from cisched.priority import PriorityWeights, prioritize_all
+from cisched.priority import PrioritizedTest, PriorityWeights, prioritize_all
 from cisched.reporting import CycleReport, make_cycle_report, save_report
-from cisched.scheduling import build_instance, schedule_greedy
+from cisched.scheduling import Schedule, build_instance, schedule_greedy
 from cisched.solver import SolveStats, solve_detailed
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 
 class SchedulerKind(str, Enum):
@@ -89,6 +93,19 @@ class CycleError(Exception):
 
 
 @dataclass(frozen=True)
+class _Scheduled:
+    """A cycle up to its emitted plans; the history is only read so far."""
+
+    cycle: int
+    prioritized: list[PrioritizedTest]
+    agents: list[TestAgent]
+    schedule: Schedule
+    plans: list[TestPlan]
+    stats: SolveStats | None
+    wall_ms: float
+
+
+@dataclass(frozen=True)
 class _CycleArtifacts:
     report: CycleReport
     plans: tuple[TestPlan, ...]
@@ -105,10 +122,11 @@ def run_cycle(state: SimulationState) -> CycleReport:
     leaves the history untouched, since collection is the only mutation and
     happens last.
     """
-    return _run_cycle(state).report
+    return _finish_cycle(state, _schedule_cycle(state)).report
 
 
-def _run_cycle(state: SimulationState) -> _CycleArtifacts:
+def _schedule_cycle(state: SimulationState) -> _Scheduled:
+    """Filter, prioritize, schedule and emit the plans."""
     cfg = state.config
     cycle = state.history.current_cycle
     logger.info("cycle %d: filtering repository", cycle)
@@ -141,10 +159,18 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
         wall_ms = stats.wall_ms
     logger.info("cycle %d: emitting plans for %d tests", cycle, schedule.size)
     plans = emit_test_plans(schedule, prioritized, active_agents, cycle)
-    logger.info("cycle %d: executing %d plans", cycle, len(plans))
-    results = [execute_plan(plan, cfg.outcome_model) for plan in plans]
+    return _Scheduled(cycle, prioritized, active_agents, schedule, plans, stats, wall_ms)
+
+
+def _finish_cycle(state: SimulationState, scheduled: _Scheduled) -> _CycleArtifacts:
+    """Execute the plans, collect their results into the history and report."""
+    cycle = scheduled.cycle
+    logger.info("cycle %d: executing %d plans", cycle, len(scheduled.plans))
+    results = [execute_plan(plan, state.config.outcome_model) for plan in scheduled.plans]
     collect_results(results, state.history)
-    report = make_cycle_report(cycle, schedule, prioritized, active_agents, results)
+    report = make_cycle_report(
+        cycle, scheduled.schedule, scheduled.prioritized, scheduled.agents, results
+    )
     logger.info(
         "cycle %d: utilization %.4f, %d executed, %d failed",
         cycle,
@@ -152,7 +178,9 @@ def _run_cycle(state: SimulationState) -> _CycleArtifacts:
         report.executed_count,
         report.fail_count,
     )
-    return _CycleArtifacts(report, tuple(plans), tuple(results), stats, wall_ms)
+    return _CycleArtifacts(
+        report, tuple(scheduled.plans), tuple(results), scheduled.stats, scheduled.wall_ms
+    )
 
 
 def _cycle_files(out: Path, cycle: int, artifacts: _CycleArtifacts) -> list[tuple[str, bytes]]:
@@ -168,19 +196,40 @@ def _cycle_files(out: Path, cycle: int, artifacts: _CycleArtifacts) -> list[tupl
 class _CycleWriter:
     """Persists each cycle under out: its directory, then its log lines.
 
-    The files are written by a writer process (cyclewriter.py), so one
-    cycle's files are written on another CPU while the next cycle runs.
-    With one CPU, or where the CPU set is unknown, put writes them in this
-    process. A cycle enters history.jsonl and timings.jsonl only once its
-    files are written, one cycle behind the loop, so the log never names a
-    cycle whose directory is incomplete.
+    The files are written by a writer process (cyclewriter.py) on another
+    CPU. With one CPU, or where the CPU set is unknown, put writes them in
+    this process. A cycle enters history.jsonl and timings.jsonl only once
+    its files are written, so the log never names a cycle whose directory
+    is incomplete.
+
+    put never waits: it logs the cycles the writer has answered for and
+    holds the cycle's encoded files. The loop calls catch_up once the next
+    cycle's plans are emitted; it sends the held files into a pipe large
+    enough to take them, so the writer writes them while that cycle
+    executes and reports rather than while it schedules. At most IN_FLIGHT
+    cycles are sent and not yet answered for; catch_up waits for the
+    writer beyond that, polling for up to POLL_S before it blocks. On a
+    2-CPU host, runs in which this process slept on the writer's answers
+    or on a full pipe scheduled more slowly, by up to a quarter.
     """
+
+    # Cycles sent but not yet answered for, at most.
+    IN_FLIGHT = 2
+    # How long a wait for the writer polls before it blocks.
+    POLL_S = 0.01
+    # The pipe capacity asked for: IN_FLIGHT cycles of 500 tests on 8
+    # agents (about 105 KB each) fit, where Linux's default of 64 KiB
+    # holds one cycle of 200 tests on 4 agents only just.
+    PIPE_BYTES = 1 << 20
 
     def __init__(self, out: Path) -> None:
         self._out = out
         self._log_path = out / "history.jsonl"
         self._timings_path = out / "timings.jsonl"
-        self._pending: tuple[int, _CycleArtifacts] | None = None
+        # The cycles sent to the writer process, oldest first, and the one
+        # put holds back while IN_FLIGHT are out.
+        self._sent: deque[tuple[int, _CycleArtifacts]] = deque()
+        self._held: tuple[int, _CycleArtifacts, list[tuple[str, bytes]]] | None = None
         self._proc = None
         try:
             cpus = len(os.sched_getaffinity(0))
@@ -199,31 +248,74 @@ class _CycleWriter:
                 stdout=subprocess.PIPE,
                 bufsize=0,
             )
+            try:
+                import fcntl
+
+                fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, self.PIPE_BYTES)
+            except (ImportError, AttributeError, OSError):
+                # Not Linux, or over the user's pipe limit: the default
+                # pipe works, with more waits on a full pipe.
+                pass
 
     def put(self, cycle: int, artifacts: _CycleArtifacts) -> None:
-        """Write the cycle's directory, after logging the cycle put before it."""
-        # Encoded before the wait, while the writer may still be writing
-        # the cycle before.
+        """Write the cycle's directory, logging every earlier cycle whose files are written."""
         files = _cycle_files(self._out, cycle, artifacts)
-        self.flush()
         if self._proc is None:
             cyclewriter.write_files(files)
-        else:
-            self._send(files)
-        self._pending = (cycle, artifacts)
+            self._log(cycle, artifacts)
+            return
+        self._collect(wait=False)
+        self._held = (cycle, artifacts, files)
+
+    def catch_up(self) -> None:
+        """Wait until fewer than IN_FLIGHT cycles are out, then send the cycle put held."""
+        if self._proc is None:
+            return
+        while len(self._sent) >= self.IN_FLIGHT:
+            self._collect(wait=True)
+        self._send_held()
 
     def flush(self) -> None:
-        """Log the last cycle put, once its files are written; raise the error of a failed write."""
-        if self._pending is None:
+        """Log every cycle put, once its files are written; raise the error of a failed write."""
+        if self._proc is None:
             return
-        cycle, artifacts = self._pending
-        self._pending = None
+        self.catch_up()
+        while self._sent:
+            self._collect(wait=True)
+
+    def close(self) -> None:
+        """End the writer process's input and wait for it to exit."""
         if self._proc is not None:
-            reply = self._proc.stdout.readline()
+            self._proc.stdin.close()
+            self._proc.wait()
+            self._proc.stdout.close()
+
+    def _collect(self, wait: bool) -> None:
+        """Log the sent cycles the writer has answered for, waiting for one answer if wait."""
+        answers = self._proc.stdout
+        if wait and self._sent:
+            # Poll before blocking: an answer usually comes within a few
+            # milliseconds, and the loop stays on its CPU meanwhile.
+            deadline = time.perf_counter() + self.POLL_S
+            while not select.select([answers], [], [], 0)[0] and time.perf_counter() < deadline:
+                pass
+        while self._sent and (wait or select.select([answers], [], [], 0)[0]):
+            wait = False
+            reply = answers.readline()
             if not reply:
                 self._exited()
             if reply != cyclewriter.OK:
                 cyclewriter.raise_reply(reply)
+            self._log(*self._sent.popleft())
+
+    def _send_held(self) -> None:
+        if self._held is not None and len(self._sent) < self.IN_FLIGHT:
+            cycle, artifacts, files = self._held
+            self._held = None
+            self._send(files)
+            self._sent.append((cycle, artifacts))
+
+    def _log(self, cycle: int, artifacts: _CycleArtifacts) -> None:
         records = []
         for result in sorted(artifacts.results, key=lambda r: r.agent_id):
             records.extend(result.records)
@@ -241,13 +333,6 @@ class _CycleWriter:
         with open(self._timings_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(timing, sort_keys=True) + "\n")
 
-    def close(self) -> None:
-        """End the writer process's input and wait for it to exit."""
-        if self._proc is not None:
-            self._proc.stdin.close()
-            self._proc.wait()
-            self._proc.stdout.close()
-
     def _send(self, files: list[tuple[str, bytes]]) -> None:
         header = json.dumps([[path, len(data)] for path, data in files]).encode("ascii")
         frame = memoryview(b"".join([header, b"\n", *(data for _, data in files)]))
@@ -255,6 +340,9 @@ class _CycleWriter:
             while frame:
                 frame = frame[self._proc.stdin.write(frame):]
         except BrokenPipeError:
+            # A writer that stopped at a failed write answered for it first.
+            while self._sent:
+                self._collect(wait=True)
             self._exited()
 
     def _exited(self) -> None:
@@ -270,8 +358,8 @@ def run_simulation(
     """Run config.cycles cycles, persisting artifacts as they are produced.
 
     With an out_dir set, each cycle's plans, results and report go under
-    cycle_<n>/, written by a writer process while the next cycle runs, or
-    in this process on one CPU. A cycle is appended to history.jsonl only
+    cycle_<n>/, written by a writer process while the next cycle executes,
+    or in this process on one CPU. A cycle is appended to history.jsonl only
     once its directory is complete, so partial runs are inspectable and
     the log never names a cycle whose files are missing. A failed cycle
     first logs every earlier cycle and leaves the log ending there; a
@@ -304,12 +392,10 @@ def run_simulation(
     try:
         for _ in range(config.cycles):
             cycle = state.history.current_cycle
-            try:
-                artifacts = _run_cycle(state)
-            except Exception as exc:
-                if writer is not None:
-                    writer.flush()
-                raise CycleError(cycle, exc) from exc
+            scheduled = _cycle_step(cycle, writer, _schedule_cycle, state)
+            if writer is not None:
+                writer.catch_up()
+            artifacts = _cycle_step(cycle, writer, _finish_cycle, state, scheduled)
             reports.append(artifacts.report)
             if writer is not None:
                 writer.put(cycle, artifacts)
@@ -319,3 +405,13 @@ def run_simulation(
         if writer is not None:
             writer.close()
     return reports
+
+
+def _cycle_step(cycle: int, writer: _CycleWriter | None, step: Callable[..., _T], *args) -> _T:
+    """Run one step of a cycle; on failure log every earlier cycle, then raise CycleError."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        if writer is not None:
+            writer.flush()
+        raise CycleError(cycle, exc) from exc

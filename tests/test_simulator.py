@@ -6,7 +6,9 @@ import dataclasses
 import errno
 import json
 import os
+import signal
 import subprocess
+import threading
 
 import pytest
 
@@ -226,14 +228,14 @@ def test_cycle_error_after_the_first_logs_every_earlier_cycle(tmp_path, monkeypa
     tests, agents = small_repo()
     clean = tmp_path / "clean"
     run_simulation(config(cycles=2, out_dir=str(clean)), tests, agents)
-    real = simulator._run_cycle
+    real = simulator._schedule_cycle
 
-    def run_cycle(state):
+    def schedule_cycle(state):
         if state.history.current_cycle == 2:
             raise ValueError("no schedule")
         return real(state)
 
-    monkeypatch.setattr(simulator, "_run_cycle", run_cycle)
+    monkeypatch.setattr(simulator, "_schedule_cycle", schedule_cycle)
     out = tmp_path / "failing"
     with pytest.raises(CycleError) as err:
         run_simulation(config(cycles=4, out_dir=str(out)), tests, agents)
@@ -252,16 +254,16 @@ def test_write_error_names_the_file_and_ends_the_log_at_the_cycle_before(
     tests, agents = small_repo()
     clean = tmp_path / "clean"
     run_simulation(config(cycles=1, out_dir=str(clean)), tests, agents)
-    real = simulator._run_cycle
+    real = simulator._finish_cycle
 
-    def run_cycle(state):
-        artifacts = real(state)
+    def finish_cycle(state, scheduled):
+        artifacts = real(state, scheduled)
         cycle = artifacts.report.cycle
         if cycle == 0:
             return artifacts
         return dataclasses.replace(artifacts, plans=artifacts.plans + (TestPlan(agent_id, cycle, ()),))
 
-    monkeypatch.setattr(simulator, "_run_cycle", run_cycle)
+    monkeypatch.setattr(simulator, "_finish_cycle", finish_cycle)
     out = tmp_path / "run"
     with pytest.raises((OSError, ValueError)) as err:
         run_simulation(config(cycles=3, out_dir=str(out)), tests, agents)
@@ -286,15 +288,15 @@ def test_write_error_names_the_file_and_ends_the_log_at_the_cycle_before(
 def test_a_writer_that_dies_raises(tmp_path, monkeypatch, writers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     tests, agents = small_repo()
-    real = simulator._run_cycle
+    real = simulator._schedule_cycle
 
-    def run_cycle(state):
+    def schedule_cycle(state):
         if state.history.current_cycle == 1:
             writers[0].kill()
             writers[0].wait()
         return real(state)
 
-    monkeypatch.setattr(simulator, "_run_cycle", run_cycle)
+    monkeypatch.setattr(simulator, "_schedule_cycle", schedule_cycle)
     out = tmp_path / "run"
     with pytest.raises(OSError, match="cycle writer exited with status -9"):
         run_simulation(config(cycles=3, out_dir=str(out)), tests, agents)
@@ -304,6 +306,137 @@ def test_a_writer_that_dies_raises(tmp_path, monkeypatch, writers):
     assert all((out / f"cycle_{n}" / "report.json").is_file() for n in range(logged))
     assert not (out / "cycle_2").exists()
     assert len(writers) == 1
+
+
+def test_the_log_trails_the_loop_by_at_most_the_frames_in_flight(tmp_path, monkeypatch, cpus):
+    # When cycle n starts, every logged cycle has its whole directory, and
+    # at most IN_FLIGHT + 1 earlier cycles are not logged yet: those sent
+    # and the one held. In process, none.
+    tests, agents = small_repo()
+    clean = tmp_path / "clean"
+    run_simulation(config(cycles=5, out_dir=str(clean)), tests, agents)
+    out = tmp_path / "run"
+    real = simulator._schedule_cycle
+    behind = []
+
+    def schedule_cycle(state):
+        cycle = state.history.current_cycle
+        logged = timing_cycles(out)
+        assert logged == list(range(len(logged)))
+        for n in logged:
+            rel = f"cycle_{n}"
+            assert {k: v for k, v in artifact_bytes(out).items() if k.startswith(rel + "/")} == {
+                k: v for k, v in artifact_bytes(clean).items() if k.startswith(rel + "/")
+            }
+        behind.append(cycle - len(logged))
+        return real(state)
+
+    monkeypatch.setattr(simulator, "_schedule_cycle", schedule_cycle)
+    run_simulation(config(cycles=5, out_dir=str(out)), tests, agents)
+    assert max(behind) <= (simulator._CycleWriter.IN_FLIGHT + 1 if cpus > 1 else 0)
+    assert artifact_bytes(out) == artifact_bytes(clean)
+
+
+def test_put_does_not_wait_for_a_writer_one_frame_behind(tmp_path, monkeypatch, writers):
+    # The writer is stopped from the start of cycle 0 to the start of
+    # cycle 2, so it writes nothing meanwhile: cycle 0 is sent, cycle 1 is
+    # held and cycle 2 starts all the same. A put that waited would see the
+    # writer resumed after 10 s and fail the check below.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tests, agents = small_repo()
+    out = tmp_path / "run"
+    real = simulator._schedule_cycle
+    seen = []
+
+    def resume():
+        if writers[0].returncode is None:
+            os.kill(writers[0].pid, signal.SIGCONT)
+
+    backstop = threading.Timer(10.0, resume)
+
+    def schedule_cycle(state):
+        cycle = state.history.current_cycle
+        if cycle == 0:
+            os.kill(writers[0].pid, signal.SIGSTOP)
+            backstop.start()
+        if cycle == 2:
+            seen.append((timing_cycles(out), (out / "cycle_0").exists()))
+            resume()
+        return real(state)
+
+    monkeypatch.setattr(simulator, "_schedule_cycle", schedule_cycle)
+    try:
+        run_simulation(config(cycles=3, out_dir=str(out)), tests, agents)
+    finally:
+        backstop.cancel()
+        resume()
+    assert seen == [([], False)]
+    assert timing_cycles(out) == [0, 1, 2]
+
+
+def test_the_writer_pipe_holds_the_frames_in_flight(tmp_path, monkeypatch, writers):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("pipe capacity is a Linux fcntl")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tests, agents = small_repo()
+    real = simulator._schedule_cycle
+    sizes = []
+
+    def schedule_cycle(state):
+        sizes.append(fcntl.fcntl(writers[0].stdin.fileno(), fcntl.F_GETPIPE_SZ))
+        return real(state)
+
+    monkeypatch.setattr(simulator, "_schedule_cycle", schedule_cycle)
+    run_simulation(config(cycles=2, out_dir=str(tmp_path / "run")), tests, agents)
+    assert sizes == [simulator._CycleWriter.PIPE_BYTES] * 2
+
+
+def test_the_loop_waits_for_the_writer_only_between_emit_and_execute(
+    tmp_path, monkeypatch, cpus, writers
+):
+    # The writer is stopped for the first 0.2 s, so cycle 3 must wait for
+    # it: cycles 0 and 1 are out. Every wait but those of the last flush
+    # falls after a cycle's plans are emitted and before they run, never
+    # right before a cycle starts.
+    tests, agents = small_repo()
+    events = []
+    schedule, finish = simulator._schedule_cycle, simulator._finish_cycle
+
+    def schedule_cycle(state):
+        if state.history.current_cycle == 0 and writers:
+            os.kill(writers[0].pid, signal.SIGSTOP)
+            resume.start()
+        events.append("schedule")
+        return schedule(state)
+
+    def finish_cycle(state, scheduled):
+        events.append("finish")
+        return finish(state, scheduled)
+
+    collect = simulator._CycleWriter._collect
+
+    def record(self, wait):
+        if wait:
+            events.append("wait")
+        return collect(self, wait)
+
+    resume = threading.Timer(0.2, lambda: os.kill(writers[0].pid, signal.SIGCONT))
+    monkeypatch.setattr(simulator, "_schedule_cycle", schedule_cycle)
+    monkeypatch.setattr(simulator, "_finish_cycle", finish_cycle)
+    monkeypatch.setattr(simulator._CycleWriter, "_collect", record)
+    run_simulation(config(cycles=6, out_dir=str(tmp_path / "run")), tests, agents)
+    if writers:
+        resume.join()
+    while events[-1] == "wait":
+        events.pop()
+    if cpus > 1:
+        assert events[:9] == ["schedule", "finish"] * 3 + ["schedule", "wait", "finish"]
+    else:
+        assert events == ["schedule", "finish"] * 6
+    for before, after in zip(events, events[1:]):
+        if after == "wait":
+            assert before in ("schedule", "wait")
 
 
 def test_two_runs_are_byte_identical(tmp_path, monkeypatch, writers):
